@@ -135,6 +135,10 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
 
 
 def _experiment_config(settings: dict) -> ExperimentConfig:
+    # ``threads`` has no effect (trials run in one batched kernel) but is
+    # still accepted, so existing scripts and config files keep working.
+    if settings["threads"] < 1:
+        raise ConfigError(f"threads: must be a positive integer, got {settings['threads']!r}")
     try:
         roi = RoiConfig(
             side_b=settings["roi_b"],
@@ -263,7 +267,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
     config = _experiment_config(settings)
-    summary = monte_carlo(config, threads=settings["threads"])
+    summary = monte_carlo(config)
     out = Path(args.out)
     out.write_text(CSV_COLUMNS + "\n" + _csv_row(config, summary) + "\n")
     _write_manifest(out, "simulate", settings)
@@ -287,7 +291,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
     values = _parse_axis_values(args.axis, args.values)
     base = _experiment_config(settings)
-    cells = sweep(base, args.axis, values, threads=settings["threads"])
+    cells = sweep(base, args.axis, values)
     out = Path(args.out)
     lines = ["axis_value," + CSV_COLUMNS]
     for cell in cells:
@@ -321,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--likelihood-r", dest="likelihood_r", type=float, metavar="REAL")
         p.add_argument("--trials", type=int, metavar="INT")
         p.add_argument("--seed", type=int, metavar="UINT64")
-        p.add_argument("--threads", type=int, metavar="INT")
+        p.add_argument("--threads", type=int, metavar="INT", help="accepted, no effect")
 
     p_theory = sub.add_parser("theory", help="print closed-form operating characteristics")
     add_common(p_theory)

@@ -2,24 +2,30 @@
 
 Every trial owns a counter-mode random substream keyed by
 (master_seed, trial_index), so trials are replayable individually and
-may execute in any order or on any number of threads without changing a
-single bit of the aggregate results. Aggregation uses exact integer
-accumulators (saved transmissions are integers), which makes the
-reduction order-independent by construction.
+the chunking of trials cannot change a single bit of the aggregate
+results. Trials run in chunks, as arrays from the draws to the audit;
+aggregation uses exact integer accumulators (saved transmissions are
+integers), which makes the reduction order-independent by construction.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .field import Hypothesis, RoiConfig, SignalModel, generate_observations, sample_field
-from .fusion import FusionConfig, counting_rule, local_decisions
-from .ordering import Crossing, StoppedRun, run_ordered_counting, schedule
+from .field import Hypothesis, RoiConfig, SignalModel
+from .fusion import FusionConfig, local_decisions
+from .ordering import CROSSINGS, StopBatch, StoppedRun, arrival_order, run_ordered_counting, stop_batch
+
+# No caller here, but these names stay bound: the benchmark's tracer
+# (bench/tracing.py) patches them in this module and fails when one is
+# missing.
+from .field import generate_observations, sample_field  # noqa: F401
+from .fusion import counting_rule  # noqa: F401
+from .ordering import schedule  # noqa: F401
 
 SWEEP_AXES = ("n_sensors", "p0", "local_pfa", "likelihood_r")
 
@@ -105,25 +111,27 @@ class _TrialStream:
 
     Produces streams bit-identical to :func:`trial_rng` while skipping
     the per-trial bit-generator construction (which pulls OS entropy it
-    never uses). One instance per worker; not thread-safe.
+    never uses). The state setter copies the prepared state, so one
+    state dict serves every trial. Not thread-safe.
     """
 
     def __init__(self) -> None:
         self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         self._gen = np.random.Generator(self._bitgen)
-
-    def generator(self, master_seed: int, trial_index: int) -> np.random.Generator:
-        self._bitgen.state = {
+        self._key = np.zeros(2, dtype=np.uint64)
+        self._state = {
             "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([master_seed, trial_index], dtype=np.uint64),
-            },
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
             "buffer": np.zeros(4, dtype=np.uint64),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
+
+    def generator(self, master_seed: int, trial_index: int) -> np.random.Generator:
+        self._key[0] = master_seed
+        self._key[1] = trial_index
+        self._bitgen.state = self._state
         return self._gen
 
 
@@ -132,33 +140,66 @@ def _fusion_for(n_sensors: int, local_pfa: float, system_pfa: float) -> FusionCo
     return FusionConfig.from_rates(n_sensors, local_pfa, system_pfa)
 
 
-def _trial_record(
-    config: ExperimentConfig,
-    trial_index: int,
-    rng: np.random.Generator,
-    fusion: FusionConfig,
-) -> TrialRecord:
-    hyp = Hypothesis.H1 if rng.random() < config.likelihood_r else Hypothesis.H0
-    field = sample_field(config.n_sensors, config.roi, rng)
-    obs = generate_observations(field, config.roi, config.model, hyp, rng)
+# Trials per chunk times sensors. Larger chunks run no faster and raise
+# peak memory.
+_CHUNK_ELEMENTS = 1 << 13
 
-    sched = schedule(obs, fusion.detector)
-    bits = local_decisions(obs.z, fusion.detector)
-    stopped = run_ordered_counting(
-        bits[sched.order], config.n_sensors, fusion.system_threshold_t
-    )
-    full = counting_rule(bits, fusion.system_threshold_t)
-    if stopped.decision is not full:
+
+def _chunk_size(n_sensors: int) -> int:
+    return max(1, _CHUNK_ELEMENTS // n_sensors)
+
+
+def _run_chunk(
+    config: ExperimentConfig,
+    fusion: FusionConfig,
+    stream: _TrialStream,
+    start: int,
+    stop: int,
+) -> tuple[np.ndarray, StopBatch]:
+    """Run trials ``start .. stop - 1`` as arrays, audited trial by trial.
+
+    Returns which trials drew H1 and how each run stopped, one row each.
+
+    Each trial still draws from its own keyed stream, in the layout
+    :func:`run_trial` documents: one ``random`` call covers the
+    hypothesis draw and the positions (numpy's ``uniform(low, high)`` is
+    ``low + (high - low) * random()``), then the noise.
+    """
+    n, roi, model = config.n_sensors, config.roi, config.model
+    u = np.empty((stop - start, 1 + 2 * n))
+    noise = np.empty((stop - start, n))
+    for j, i in enumerate(range(start, stop)):
+        g = stream.generator(config.master_seed, i)
+        g.random(out=u[j])
+        g.standard_normal(out=noise[j])
+
+    h1 = u[:, 0] < config.likelihood_r
+    low, high = -roi.half_side, roi.half_side
+    positions = low + (high - low) * u[:, 1:]
+    d = np.hypot(positions[:, 0::2] - roi.target_x, positions[:, 1::2] - roi.target_y)
+    amp = np.sqrt(model.p0 / (1.0 + model.alpha * d**model.n_exp))
+    z = np.add(amp, noise, out=noise, where=h1[:, None])
+
+    t = fusion.system_threshold_t
+    bits = local_decisions(z, fusion.detector)
+    ordered = np.take_along_axis(bits, arrival_order(z, fusion.detector.tau), axis=1)
+    stops = stop_batch(ordered, t)
+
+    diverged = np.flatnonzero(stops.decision_h1 != (bits.sum(axis=1) > t))
+    if diverged.size:
         raise RuntimeError(
-            f"early-stop decision diverged from the full count at trial {trial_index}"
+            f"early-stop decision diverged from the full count at trial {start + diverged[0]}"
         )
-    return TrialRecord(
-        trial_index=trial_index,
-        hypothesis=hyp,
-        stopped=stopped,
-        full_count_decision=full,
-        transmissions_saved=config.n_sensors - stopped.k_transmitted,
-    )
+    # Replay the chunk's first trial through the scalar scan.
+    ref = run_ordered_counting(ordered[0], n, t)
+    if (ref.k_transmitted, ref.crossing, ref.decision is Hypothesis.H1, ref.partial_sum) != (
+        stops.k_transmitted[0],
+        CROSSINGS[stops.crossing[0]],
+        stops.decision_h1[0],
+        stops.partial_sum[0],
+    ):
+        raise RuntimeError(f"batched stop scan diverged from the scalar scan at trial {start}")
+    return h1, stops
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
@@ -172,50 +213,41 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     if not 0 <= trial_index < config.n_trials:
         raise ValueError(f"trial_index {trial_index!r} outside [0, {config.n_trials})")
     fusion = _fusion_for(config.n_sensors, config.local_pfa, config.system_pfa)
-    rng = trial_rng(config.master_seed, trial_index)
-    return _trial_record(config, trial_index, rng, fusion)
+    h1, stops = _run_chunk(config, fusion, _TrialStream(), trial_index, trial_index + 1)
+    decision = Hypothesis.H1 if stops.decision_h1[0] else Hypothesis.H0
+    k = int(stops.k_transmitted[0])
+    return TrialRecord(
+        trial_index=trial_index,
+        hypothesis=Hypothesis.H1 if h1[0] else Hypothesis.H0,
+        stopped=StoppedRun(
+            k_transmitted=k,
+            decision=decision,
+            crossing=CROSSINGS[stops.crossing[0]],
+            partial_sum=int(stops.partial_sum[0]),
+        ),
+        full_count_decision=decision,
+        transmissions_saved=config.n_sensors - k,
+    )
 
 
-def _accumulate(config: ExperimentConfig, start: int, stop: int) -> tuple[int, ...]:
+def monte_carlo(config: ExperimentConfig) -> AntsSummary:
+    """Run all trials chunk by chunk and aggregate in exact integers."""
     fusion = _fusion_for(config.n_sensors, config.local_pfa, config.system_pfa)
     stream = _TrialStream()
-    saved_sum = saved_sq = 0
-    h1_n = h1_hits = h0_n = h0_hits = 0
-    upper = lower = exhausted = 0
-    for i in range(start, stop):
-        rec = _trial_record(config, i, stream.generator(config.master_seed, i), fusion)
-        saved = rec.transmissions_saved
-        saved_sum += saved
-        saved_sq += saved * saved
-        detected = rec.stopped.decision is Hypothesis.H1
-        if rec.hypothesis is Hypothesis.H1:
-            h1_n += 1
-            h1_hits += detected
-        else:
-            h0_n += 1
-            h0_hits += detected
-        if rec.stopped.crossing is Crossing.UPPER:
-            upper += 1
-        elif rec.stopped.crossing is Crossing.LOWER:
-            lower += 1
-        else:
-            exhausted += 1
-    return saved_sum, saved_sq, h1_n, h1_hits, h0_n, h0_hits, upper, lower, exhausted
-
-
-def monte_carlo(config: ExperimentConfig, threads: int = 1) -> AntsSummary:
-    """Run all trials and aggregate; bit-identical for any thread count."""
-    threads = max(1, int(threads))
-    n = config.n_trials
-    if threads == 1 or n < 2 * threads:
-        parts = [_accumulate(config, 0, n)]
-    else:
-        chunk = max(1, math.ceil(n / (threads * 8)))
-        ranges = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda r: _accumulate(config, *r), ranges))
-    sums = [sum(p[i] for p in parts) for i in range(9)]
-    saved_sum, saved_sq, h1_n, h1_hits, h0_n, h0_hits, upper, lower, exhausted = sums
+    n, b = config.n_trials, _chunk_size(config.n_sensors)
+    saved_sum = saved_sq = h1_n = h1_hits = h0_hits = 0
+    crossings = [0, 0, 0]
+    for start in range(0, n, b):
+        h1, stops = _run_chunk(config, fusion, stream, start, min(start + b, n))
+        saved = config.n_sensors - stops.k_transmitted
+        saved_sum += int(saved.sum())
+        saved_sq += int((saved * saved).sum())
+        h1_n += int(np.count_nonzero(h1))
+        h1_hits += int(np.count_nonzero(h1 & stops.decision_h1))
+        h0_hits += int(np.count_nonzero(~h1 & stops.decision_h1))
+        for code, count in enumerate(np.bincount(stops.crossing, minlength=3)):
+            crossings[code] += int(count)
+    h0_n = n - h1_n
 
     mean = saved_sum / n
     if n > 1:
@@ -229,9 +261,9 @@ def monte_carlo(config: ExperimentConfig, threads: int = 1) -> AntsSummary:
         ants_stderr=stderr,
         empirical_pd=h1_hits / h1_n if h1_n else math.nan,
         empirical_pfa=h0_hits / h0_n if h0_n else math.nan,
-        upper_count=upper,
-        lower_count=lower,
-        exhausted_count=exhausted,
+        upper_count=crossings[0],
+        lower_count=crossings[1],
+        exhausted_count=crossings[2],
     )
 
 
@@ -252,7 +284,7 @@ def _with_axis_value(base: ExperimentConfig, axis: str, value, seed: int) -> Exp
     raise ValueError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
 
 
-def sweep(base: ExperimentConfig, axis: str, values, threads: int = 1) -> list[SweepCell]:
+def sweep(base: ExperimentConfig, axis: str, values) -> list[SweepCell]:
     """One Monte Carlo run per axis value, with per-cell derived seeds."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
@@ -262,5 +294,5 @@ def sweep(base: ExperimentConfig, axis: str, values, threads: int = 1) -> list[S
     cells = []
     for i, value in enumerate(values):
         cfg = _with_axis_value(base, axis, value, cell_seed(base.master_seed, i))
-        cells.append(SweepCell(axis_value=value, config=cfg, summary=monte_carlo(cfg, threads)))
+        cells.append(SweepCell(axis_value=value, config=cfg, summary=monte_carlo(cfg)))
     return cells

@@ -14,6 +14,11 @@ After k arrivals the N-k silent sensors can add at most N-k to the
 count, so either stop is irrevocable and the early decision always
 matches the full-count decision. Transmissions saved on a run: N - k.
 
+:func:`schedule` and :func:`run_ordered_counting` handle one run and
+check their inputs; :func:`arrival_order` and :func:`stop_batch` do the
+same work on many runs at once, one row each, for the Monte Carlo
+kernel.
+
 The module also provides the expected-savings lower bounds for the two
 stop cases and, as an oracle baseline, the classical ordering protocol
 in which sensors transmit raw log-likelihood ratios (requires the true
@@ -25,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,6 +144,56 @@ def run_ordered_counting(ordered_decisions, n: int, t: float) -> StoppedRun:
         decision=Hypothesis.H1 if final > t else Hypothesis.H0,
         crossing=Crossing.EXHAUSTED,
         partial_sum=final,
+    )
+
+
+class StopBatch(NamedTuple):
+    """Outcomes of many ordered-fusion runs, one row each.
+
+    ``crossing`` holds indices into :data:`CROSSINGS`; ``decision_h1``
+    is True where the run declares H1.
+    """
+
+    k_transmitted: np.ndarray
+    crossing: np.ndarray
+    decision_h1: np.ndarray
+    partial_sum: np.ndarray
+
+
+CROSSINGS = (Crossing.UPPER, Crossing.LOWER, Crossing.EXHAUSTED)
+
+
+def arrival_order(z: np.ndarray, tau: float) -> np.ndarray:
+    """Arrival order of each row of observations ``z``, as in :func:`schedule`.
+
+    Sorts the transmit times themselves: distinct gaps can round to the
+    same 1/gap, and the stable tie rule must treat those as equal.
+    """
+    gaps = np.abs(z - tau)
+    with np.errstate(divide="ignore"):
+        times = np.where(gaps > 0.0, 1.0 / gaps, np.inf)
+    return np.argsort(times, axis=-1, kind="stable")
+
+
+def stop_batch(ordered_decisions: np.ndarray, t: float) -> StopBatch:
+    """:func:`run_ordered_counting` on every row of a (runs, n) bit matrix.
+
+    The caller guarantees 0/1 integer bits; nothing is re-checked.
+    """
+    n = ordered_decisions.shape[1]
+    counts = np.cumsum(ordered_decisions, axis=1)
+    upper = counts > t
+    fired = upper | (counts < t - (n - np.arange(1, n + 1)))
+    idx = np.argmax(fired, axis=1)
+    rows = np.arange(counts.shape[0])
+    stopped = fired[rows, idx]
+    up = upper[rows, idx]
+    final = counts[:, -1]
+    return StopBatch(
+        k_transmitted=np.where(stopped, idx + 1, n),
+        crossing=np.where(stopped, np.where(up, 0, 1), 2),
+        decision_h1=np.where(stopped, up, final > t),
+        partial_sum=np.where(stopped, counts[rows, idx], final),
     )
 
 

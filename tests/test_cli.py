@@ -130,6 +130,25 @@ def test_invalid_value_exits_2_and_names_field(tmp_path, capsys):
     assert "local_pfa" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_below_one_exits_2_and_writes_nothing(tmp_path, capsys, threads):
+    out = tmp_path / "x.csv"
+    code = main(["simulate", "--n-sensors", "10", "--p0", "1", "--trials", "5",
+                 "--threads", threads, "--out", str(out)])
+    assert code == 2
+    assert "threads" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_threads_in_config_file_is_accepted_and_recorded(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 3\n")
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(cfg), *GOLDEN_ARGS, "--out", str(out)]) == 0
+    assert out.read_text() == GOLDEN_CSV
+    assert "threads = 3" in (tmp_path / "x.csv.manifest").read_text()
+
+
 def test_unwritable_output_exits_1(tmp_path):
     code = main(["simulate", "--n-sensors", "10", "--p0", "1", "--trials", "5",
                  "--out", str(tmp_path / "missing" / "x.csv")])

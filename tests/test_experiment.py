@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 from orderfuse.experiment import (
+    AntsSummary,
     ExperimentConfig,
+    TrialRecord,
+    _chunk_size,
     cell_seed,
     monte_carlo,
     run_trial,
     sweep,
     trial_rng,
 )
-from orderfuse.field import Hypothesis, RoiConfig, SignalModel
+from orderfuse.field import Hypothesis, RoiConfig, SignalModel, generate_observations, sample_field
+from orderfuse.fusion import FusionConfig, counting_rule, local_decisions
+from orderfuse.ordering import Crossing, run_ordered_counting, schedule
 
 from test_fusion import binomial_tail_gt
 
@@ -118,13 +123,6 @@ def test_summary_counts_are_consistent():
     assert 0.0 <= s.ants_mean <= config.n_sensors - 1
 
 
-def test_thread_count_does_not_change_results():
-    config = make_config(n_trials=1_500)
-    base = monte_carlo(config, threads=1)
-    for threads in (2, 4, 7):
-        assert monte_carlo(config, threads=threads) == base
-
-
 def test_no_h1_trials_yields_nan_pd():
     s = monte_carlo(make_config(likelihood_r=0.0, n_trials=50))
     assert math.isnan(s.empirical_pd)
@@ -149,7 +147,7 @@ def test_empirical_pfa_matches_exact_binomial():
         n_trials=trials,
         master_seed=77,
     )
-    s = monte_carlo(config, threads=4)
+    s = monte_carlo(config)
     band = 3.0 * math.sqrt(exact * (1.0 - exact) / trials)
     assert abs(s.empirical_pfa - exact) <= band
 
@@ -162,6 +160,67 @@ def test_stderr_matches_numpy_reference():
     s = monte_carlo(config)
     assert s.ants_mean == pytest.approx(saved.mean(), rel=1e-12)
     assert s.ants_stderr == pytest.approx(saved.std(ddof=1) / math.sqrt(400), rel=1e-12)
+
+
+# ── batched kernel against the per-trial pipeline ───────────────────
+
+
+def reference_trial(config: ExperimentConfig, fusion: FusionConfig, trial_index: int) -> TrialRecord:
+    """One trial through the per-trial object pipeline, from its own stream."""
+    t = fusion.system_threshold_t
+    rng = trial_rng(config.master_seed, trial_index)
+    hyp = Hypothesis.H1 if rng.random() < config.likelihood_r else Hypothesis.H0
+    field = sample_field(config.n_sensors, config.roi, rng)
+    observations = generate_observations(field, config.roi, config.model, hyp, rng)
+    bits = local_decisions(observations.z, fusion.detector)
+    order = schedule(observations, fusion.detector).order
+    stopped = run_ordered_counting(bits[order], config.n_sensors, t)
+    return TrialRecord(
+        trial_index=trial_index,
+        hypothesis=hyp,
+        stopped=stopped,
+        full_count_decision=counting_rule(bits, t),
+        transmissions_saved=config.n_sensors - stopped.k_transmitted,
+    )
+
+
+def reference_summary(records: list[TrialRecord]) -> AntsSummary:
+    """Per-trial aggregation in exact integers."""
+    n = len(records)
+    saved = [r.transmissions_saved for r in records]
+    total, total_sq = sum(saved), sum(x * x for x in saved)
+    h1 = [r.stopped.decision is Hypothesis.H1 for r in records if r.hypothesis is Hypothesis.H1]
+    h0 = [r.stopped.decision is Hypothesis.H1 for r in records if r.hypothesis is Hypothesis.H0]
+    crossings = [r.stopped.crossing for r in records]
+    return AntsSummary(
+        ants_mean=total / n,
+        ants_stderr=math.sqrt((n * total_sq - total * total) / (n * (n - 1)) / n),
+        empirical_pd=sum(h1) / len(h1) if h1 else math.nan,
+        empirical_pfa=sum(h0) / len(h0) if h0 else math.nan,
+        upper_count=crossings.count(Crossing.UPPER),
+        lower_count=crossings.count(Crossing.LOWER),
+        exhausted_count=crossings.count(Crossing.EXHAUSTED),
+    )
+
+
+@pytest.mark.parametrize("n_sensors", [1, 7, 20, 100])
+def test_chunked_kernel_equals_per_trial_pipeline(n_sensors):
+    # 2B + 3 trials: two full chunks and a short last one.
+    config = make_config(
+        n_sensors=n_sensors,
+        model=SignalModel(p0=20.0, alpha=0.02, n_exp=2.0),
+        local_pfa=0.05,
+        system_pfa=0.1,
+        n_trials=2 * _chunk_size(n_sensors) + 3,
+        master_seed=31 + n_sensors,
+    )
+    fusion = FusionConfig.from_rates(n_sensors, config.local_pfa, config.system_pfa)
+    records = [reference_trial(config, fusion, i) for i in range(config.n_trials)]
+    expected = reference_summary(records)
+    assert expected.upper_count and expected.lower_count
+    assert monte_carlo(config) == expected
+    for i, record in enumerate(records):
+        assert run_trial(config, i) == record
 
 
 # ── sweep ───────────────────────────────────────────────────────────
@@ -190,7 +249,7 @@ def test_sweep_rejects_bad_axis_and_empty_values():
 
 def test_sweep_over_n_sensors_tracks_half_n():
     # Strong signal, even target likelihood: mean savings ride near n/2.
-    cells = sweep(make_config(n_trials=4_000), "n_sensors", [50, 100, 200], threads=4)
+    cells = sweep(make_config(n_trials=4_000), "n_sensors", [50, 100, 200])
     for cell in cells:
         n = cell.config.n_sensors
         assert 0.45 <= cell.summary.ants_mean / n <= 0.52
@@ -210,7 +269,7 @@ def test_savings_clear_lower_bound_in_strong_signal_regime():
 
     config = make_config(n_trials=4_000)
     assert config.model.p0 >= 1e4
-    s = monte_carlo(config, threads=2)
+    s = monte_carlo(config)
     assert s.empirical_pd >= 0.999
     t = system_threshold(config.n_sensors, config.local_pfa, config.system_pfa)
     bound = ants_bounds(config.n_sensors, t, config.likelihood_r).combined

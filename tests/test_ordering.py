@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 from orderfuse.field import Hypothesis, ObservationVector, RoiConfig, SignalModel, oracle_amplitudes, sample_field
 from orderfuse.fusion import LocalDetector, counting_rule
 from orderfuse.ordering import (
+    CROSSINGS,
     Crossing,
     ants_bounds,
+    arrival_order,
     lr_schedule_and_run,
     run_ordered_counting,
     schedule,
+    stop_batch,
 )
 
 
@@ -144,6 +147,56 @@ def test_stopping_minimality_and_savings(bits, data):
         partial += bits[k - 1]
         assert not partial > t
         assert not partial < t - (n - k)
+
+
+# ── batched forms against the per-run reference ─────────────────────
+
+
+def test_stop_batch_matches_scalar_scan_exhaustive():
+    # Every bit vector up to n = 12 at thresholds below zero, at zero,
+    # at integers (EXHAUSTED runs), between integers and at or above n.
+    for n in range(1, 13):
+        bits = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64)
+        for t in sorted({-2.5, -1.0, 0.0, 0.5, 1.0, n // 2, n / 2 + 0.3, n - 1.0, n, n + 1.5}):
+            got = stop_batch(bits, t)
+            for row, d in enumerate(bits):
+                ref = run_ordered_counting(d, n, t)
+                assert got.k_transmitted[row] == ref.k_transmitted, (n, t, d)
+                assert CROSSINGS[got.crossing[row]] is ref.crossing, (n, t, d)
+                assert got.decision_h1[row] == (ref.decision is Hypothesis.H1), (n, t, d)
+                assert got.partial_sum[row] == ref.partial_sum, (n, t, d)
+
+
+def _reciprocal_collision() -> tuple[float, float]:
+    """Adjacent doubles g1 < g2 with 1/g1 == 1/g2."""
+    g = 1.5
+    while 1.0 / g != 1.0 / np.nextafter(g, 2.0):
+        g = float(np.nextafter(g, 2.0))
+    return g, float(np.nextafter(g, 2.0))
+
+
+def test_arrival_order_matches_schedule_rows_with_ties():
+    tau = 0.75
+    det = detector_with_tau(tau)
+    rng = np.random.default_rng(5)
+    # Few distinct values per row force equal gaps, on both sides of tau
+    # and at tau itself (zero gap: transmits last).
+    z = tau + rng.integers(-3, 4, size=(200, 9)) * 0.5
+    z[:, 4] = tau
+    order = arrival_order(z, tau)
+    assert order.shape == z.shape
+    for row in range(z.shape[0]):
+        np.testing.assert_array_equal(order[row], schedule(obs(z[row]), det).order)
+
+
+def test_arrival_order_ties_on_equal_times_not_gaps():
+    # Distinct gaps with equal transmit times keep index order.
+    g1, g2 = _reciprocal_collision()
+    det = detector_with_tau(0.0)
+    z = np.array([[g1, g2, 0.0, -g2, -g1]])
+    order = arrival_order(z, 0.0)
+    np.testing.assert_array_equal(order[0], [0, 1, 3, 4, 2])
+    np.testing.assert_array_equal(order[0], schedule(obs(z[0]), det).order)
 
 
 # ── ants_bounds ─────────────────────────────────────────────────────
