@@ -3,8 +3,8 @@
 Configuration comes from an optional flat key=value config file plus
 command-line flags; flags win. Simulation results go to a CSV with a
 frozen column schema, and every CSV gets an adjacent ``<out>.manifest``
-file recording the fully resolved configuration so the run can be
-reproduced bit for bit.
+file recording the fully resolved configuration and the numpy and
+Python versions, so the run can be reproduced bit for bit.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 """
@@ -16,6 +16,8 @@ import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .experiment import (
@@ -196,6 +198,9 @@ def _write_manifest(
 ) -> None:
     lines = [
         f"tool = orderfuse {__version__}",
+        # numpy's version defines the Generator streams behind every trial.
+        f"numpy_version = {np.__version__}",
+        "python_version = {}.{}.{}".format(*sys.version_info[:3]),
         f"command = {command}",
         f"created_utc = {datetime.now(timezone.utc).isoformat()}",
         f"output_csv = {out_path}",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .field import Hypothesis, RoiConfig, SignalModel
 from .fusion import FusionConfig, local_decisions
-from .ordering import CROSSINGS, StopBatch, StoppedRun, arrival_order, run_ordered_counting, stop_batch
+from .ordering import CROSSINGS, StopBatch, StoppedRun, ordered_bits, run_ordered_counting, stop_batch
 
 # No caller here, but these names stay bound: the benchmark's tracer
 # (bench/tracing.py) patches them in this module and fails when one is
@@ -174,15 +174,18 @@ def _run_chunk(
         g.standard_normal(out=noise[j])
 
     h1 = u[:, 0] < config.likelihood_r
+    # Only H1 rows carry the signal; H0 rows drew their positions above
+    # only to keep the stream layout.
+    rows = np.flatnonzero(h1)
     low, high = -roi.half_side, roi.half_side
-    positions = low + (high - low) * u[:, 1:]
+    positions = low + (high - low) * u[rows, 1:]
     d = np.hypot(positions[:, 0::2] - roi.target_x, positions[:, 1::2] - roi.target_y)
-    amp = np.sqrt(model.p0 / (1.0 + model.alpha * d**model.n_exp))
-    z = np.add(amp, noise, out=noise, where=h1[:, None])
+    noise[rows] += np.sqrt(model.p0 / (1.0 + model.alpha * d**model.n_exp))
+    z = noise
 
     t = fusion.system_threshold_t
     bits = local_decisions(z, fusion.detector)
-    ordered = np.take_along_axis(bits, arrival_order(z, fusion.detector.tau), axis=1)
+    ordered = ordered_bits(z, fusion.detector.tau, bits)
     stops = stop_batch(ordered, t)
 
     diverged = np.flatnonzero(stops.decision_h1 != (bits.sum(axis=1) > t))

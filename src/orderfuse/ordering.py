@@ -17,7 +17,10 @@ matches the full-count decision. Transmissions saved on a run: N - k.
 :func:`schedule` and :func:`run_ordered_counting` handle one run and
 check their inputs; :func:`arrival_order` and :func:`stop_batch` do the
 same work on many runs at once, one row each, for the Monte Carlo
-kernel.
+kernel. :func:`ordered_bits` gives the arrival-ordered bits of many
+runs from one sort of packed (transmit time, bit) keys; only a run in
+which two sensors share a transmit time goes through the stable
+:func:`arrival_order`, which puts equal times in index order.
 
 The module also provides the expected-savings lower bounds for the two
 stop cases and, as an oracle baseline, the classical ordering protocol
@@ -93,11 +96,15 @@ class LrOrderedRun:
     partial_sum: float
 
 
+def _transmit_times(z: np.ndarray, tau: float) -> np.ndarray:
+    """1/|z - tau| elementwise: positive doubles, ``inf`` for a zero gap."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / np.abs(z - tau)
+
+
 def schedule(observations: ObservationVector, det: LocalDetector) -> TransmissionSchedule:
     """Transmit times 1/|z - tau| and the arrival order they induce."""
-    gaps = np.abs(observations.z - det.tau)
-    with np.errstate(divide="ignore"):
-        times = np.where(gaps > 0.0, 1.0 / gaps, np.inf)
+    times = _transmit_times(observations.z, det.tau)
     order = np.argsort(times, kind="stable")
     return TransmissionSchedule(order=order, times=times)
 
@@ -169,10 +176,30 @@ def arrival_order(z: np.ndarray, tau: float) -> np.ndarray:
     Sorts the transmit times themselves: distinct gaps can round to the
     same 1/gap, and the stable tie rule must treat those as equal.
     """
-    gaps = np.abs(z - tau)
-    with np.errstate(divide="ignore"):
-        times = np.where(gaps > 0.0, 1.0 / gaps, np.inf)
-    return np.argsort(times, axis=-1, kind="stable")
+    return np.argsort(_transmit_times(z, tau), axis=-1, kind="stable")
+
+
+def ordered_bits(z: np.ndarray, tau: float, bits: np.ndarray) -> np.ndarray:
+    """Each row of int64 0/1 ``bits`` in the arrival order of that row of ``z``.
+
+    Equal to ``np.take_along_axis(bits, arrival_order(z, tau), axis=1)``.
+    Transmit times are positive doubles or ``inf``, so their bit patterns
+    as ``uint64`` sort like the values and leave the top bit free: one
+    sort of ``time << 1 | bit`` yields the ordered bits in the low bit.
+    A row holding two equal times is redone with :func:`arrival_order`,
+    which keeps the stable rule (equal times go in index order).
+    """
+    times = _transmit_times(z, tau)
+    key = times.view(np.uint64) << np.uint64(1)
+    key |= bits.view(np.uint64)
+    key.sort(axis=1)
+    ranked = key >> np.uint64(1)
+    tied = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+    key &= np.uint64(1)
+    ordered = key.view(np.int64)
+    if tied.size:
+        ordered[tied] = np.take_along_axis(bits[tied], arrival_order(z[tied], tau), axis=1)
+    return ordered
 
 
 def stop_batch(ordered_decisions: np.ndarray, t: float) -> StopBatch:

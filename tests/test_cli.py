@@ -1,7 +1,9 @@
 """CLI tests: schema golden file, exit codes, config resolution, manifests."""
 
 import math
+import platform
 
+import numpy as np
 import pytest
 
 from orderfuse.cli import CSV_COLUMNS, main
@@ -39,6 +41,15 @@ def test_simulate_golden_csv(tmp_path):
     text = manifest.read_text()
     assert "master_seed = 42" in text
     assert "command = simulate" in text
+
+
+def test_manifest_records_numpy_and_python_versions(tmp_path):
+    out = tmp_path / "run.csv"
+    assert main(["simulate", *GOLDEN_ARGS, "--out", str(out)]) == 0
+    lines = (tmp_path / "run.csv.manifest").read_text().splitlines()
+    assert f"numpy_version = {np.__version__}" in lines
+    assert f"python_version = {platform.python_version()}" in lines
+    assert out.read_text() == GOLDEN_CSV
 
 
 def test_simulate_rerun_byte_identical_any_threads(tmp_path):

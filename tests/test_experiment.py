@@ -203,21 +203,34 @@ def reference_summary(records: list[TrialRecord]) -> AntsSummary:
     )
 
 
-@pytest.mark.parametrize("n_sensors", [1, 7, 20, 100])
-def test_chunked_kernel_equals_per_trial_pipeline(n_sensors):
-    # 2B + 3 trials: two full chunks and a short last one.
+@pytest.mark.parametrize(
+    "n_sensors, likelihood_r",
+    [
+        pytest.param(n, r, id=str(n) if r == 0.5 else f"{n}-r{r:g}")
+        for r in (0.5, 0.0, 1.0)
+        for n in (1, 7, 20, 100, 1000)
+    ],
+)
+def test_chunked_kernel_equals_per_trial_pipeline(n_sensors, likelihood_r):
+    # 2B + 3 trials: two full chunks and a short last one. r = 0 and 1
+    # give chunks with no H1 row and with only H1 rows.
     config = make_config(
         n_sensors=n_sensors,
         model=SignalModel(p0=20.0, alpha=0.02, n_exp=2.0),
         local_pfa=0.05,
         system_pfa=0.1,
+        likelihood_r=likelihood_r,
         n_trials=2 * _chunk_size(n_sensors) + 3,
         master_seed=31 + n_sensors,
     )
     fusion = FusionConfig.from_rates(n_sensors, config.local_pfa, config.system_pfa)
     records = [reference_trial(config, fusion, i) for i in range(config.n_trials)]
     expected = reference_summary(records)
-    assert expected.upper_count and expected.lower_count
+    if likelihood_r == 0.5:
+        assert expected.upper_count and expected.lower_count
+    else:
+        # r = 0 leaves no H1 trial to score, r = 1 no H0 trial.
+        assert math.isnan(expected.empirical_pfa if likelihood_r else expected.empirical_pd)
     assert monte_carlo(config) == expected
     for i, record in enumerate(records):
         assert run_trial(config, i) == record

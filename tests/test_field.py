@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orderfuse.field import (
@@ -131,13 +131,15 @@ def test_amplitude_rejects_negative_distance():
     st.floats(min_value=0.0, max_value=100.0),
     st.floats(min_value=0.0, max_value=100.0),
 )
+@example(0.0, 5.96e-08)
 def test_amplitude_decreasing(d1, d2):
     model = SignalModel(p0=42.0, alpha=0.02, n_exp=2.0)
     lo, hi = min(d1, d2), max(d1, d2)
-    if hi - lo > 1e-9 * max(1.0, hi):
+    base = 1.0 + model.alpha * lo**model.n_exp
+    if model.alpha * (hi**model.n_exp - lo**model.n_exp) > 16 * math.ulp(base):
         assert signal_amplitude(model, lo) > signal_amplitude(model, hi)
     else:
-        # Distances closer than float resolution may round to equal amplitudes.
+        # A change in the denominator below a few ulps may round away.
         assert signal_amplitude(model, lo) >= signal_amplitude(model, hi)
 
 

@@ -16,6 +16,7 @@ from orderfuse.ordering import (
     ants_bounds,
     arrival_order,
     lr_schedule_and_run,
+    ordered_bits,
     run_ordered_counting,
     schedule,
     stop_batch,
@@ -197,6 +198,69 @@ def test_arrival_order_ties_on_equal_times_not_gaps():
     order = arrival_order(z, 0.0)
     np.testing.assert_array_equal(order[0], [0, 1, 3, 4, 2])
     np.testing.assert_array_equal(order[0], schedule(obs(z[0]), det).order)
+
+
+def assert_ordered_bits_match(z: np.ndarray, tau: float) -> None:
+    """ordered_bits equals the stable argsort reference, row by row."""
+    bits = (z > tau).astype(np.int64)
+    expected = np.take_along_axis(bits, arrival_order(z, tau), axis=1)
+    got = ordered_bits(z, tau, bits)
+    assert got.shape == z.shape
+    for row in range(z.shape[0]):
+        np.testing.assert_array_equal(got[row], expected[row], err_msg=f"row {row}: {z[row]}")
+
+
+def test_ordered_bits_without_ties():
+    tau = 0.3
+    z = np.random.default_rng(11).standard_normal((64, 200))
+    times = 1.0 / np.abs(z - tau)
+    assert all(np.unique(row).size == row.size for row in times)
+    assert_ordered_bits_match(z, tau)
+
+
+def test_ordered_bits_equal_gaps_both_sides_of_tau():
+    tau = 0.75
+    # The 0 at index 1 ties with the 1 at index 0 and must follow it;
+    # a plain sort of (time, bit) keys would put the 0 first.
+    z = np.array([[tau + 1.0, tau - 1.0, tau + 3.0], [tau - 2.0, tau + 2.0, tau - 0.5]])
+    assert_ordered_bits_match(z, tau)
+    rng = np.random.default_rng(5)
+    assert_ordered_bits_match(tau + rng.integers(-3, 4, size=(200, 9)) * 0.5, tau)
+
+
+def test_ordered_bits_observation_at_tau():
+    tau = -0.2
+    # A zero gap gives an infinite time, whose bit pattern sorts last.
+    z = np.array([[tau, 1.0, -1.0, 0.5], [tau, 2.0, tau, -3.0], [0.1, tau, tau, tau]])
+    assert_ordered_bits_match(z, tau)
+
+
+def test_ordered_bits_subnormal_gaps_overflow_to_inf():
+    tau = 0.0
+    tiny = 5e-324
+    assert 1.0 / 1e-310 == np.inf  # these gaps tie with a zero gap
+    z = np.array([
+        [-tiny, tiny, 1.0, -2.0],
+        [1e-310, 0.0, -1e-310, 0.5],
+        [-tiny, 3.0, 0.0, -0.25],
+    ])
+    assert_ordered_bits_match(z, tau)
+
+
+def test_ordered_bits_reciprocal_collisions():
+    g1, g2 = _reciprocal_collision()
+    z = np.array([[g1, g2, 0.0, -g2, -g1], [-g1, g2, 0.0, g1, -g2], [-g2, -g1, g1, g2, 3.0]])
+    assert_ordered_bits_match(z, 0.0)
+
+
+def test_ordered_bits_mixed_batch():
+    tau = 1.25
+    rng = np.random.default_rng(9)
+    z = tau + rng.standard_normal((300, 40))
+    tied = rng.random(300) < 0.3
+    z[tied] = tau + rng.integers(-4, 5, size=(int(tied.sum()), 40)) * 0.25
+    assert 0 < tied.sum() < 300
+    assert_ordered_bits_match(z, tau)
 
 
 # ── ants_bounds ─────────────────────────────────────────────────────
