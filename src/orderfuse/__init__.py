@@ -4,7 +4,7 @@ Library and simulator for a sensor network whose nodes make one-bit
 local decisions and transmit them in order of informativeness, letting
 the fusion center stop the network early once the counting-rule outcome
 is forced. Includes the Gaussian tail numerics, the closed-form
-operating characteristics, two known-geometry oracle baselines, and a
+operating characteristics, one known-geometry oracle baseline, and a
 reproducible Monte Carlo harness measuring transmissions saved.
 """
 
@@ -28,7 +28,6 @@ from .field import (
     RoiConfig,
     SensorField,
     SignalModel,
-    distance,
     generate_observations,
     oracle_amplitudes,
     oracle_distances,
@@ -40,9 +39,7 @@ from .fusion import (
     LocalDetector,
     OffCenterTargetError,
     TheoryCurves,
-    chair_varshney,
     counting_rule,
-    local_decide,
     local_decisions,
     local_pd,
     system_pfa_approx,
@@ -53,9 +50,7 @@ from .fusion import (
 from .ordering import (
     AntsBounds,
     Crossing,
-    LrOrderedRun,
     StoppedRun,
-    TransmissionSchedule,
     ants_bounds,
     lr_schedule_and_run,
     run_ordered_counting,
@@ -77,7 +72,6 @@ __all__ = [
     "FusionConfig",
     "Hypothesis",
     "LocalDetector",
-    "LrOrderedRun",
     "ObservationVector",
     "OffCenterTargetError",
     "QuadratureConvergenceError",
@@ -89,16 +83,12 @@ __all__ = [
     "SweepCell",
     "SWEEP_AXES",
     "TheoryCurves",
-    "TransmissionSchedule",
     "TrialRecord",
     "ants_bounds",
     "cell_seed",
-    "chair_varshney",
     "counting_rule",
-    "distance",
     "generate_observations",
     "integrate",
-    "local_decide",
     "local_decisions",
     "local_pd",
     "lr_schedule_and_run",

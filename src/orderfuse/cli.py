@@ -214,50 +214,37 @@ def _write_manifest(
     manifest_path.write_text("\n".join(lines) + "\n")
 
 
-def _theory_rows(settings: dict) -> list[tuple[str, str]]:
-    n = settings["n_sensors"]
-    roi = RoiConfig(settings["roi_b"], settings["target_x"], settings["target_y"])
-    model = SignalModel(settings["p0"], settings["alpha"], settings["n_exp"])
-    fus = FusionConfig.from_rates(n, settings["local_pfa"], settings["system_pfa"])
-    curves = theory_curves(fus.detector, model, roi, n, fus.system_threshold_t)
-    rows = [
+def _theory_rows(config: ExperimentConfig) -> list[tuple[str, str]]:
+    n, model, roi = config.n_sensors, config.model, config.roi
+    fus = FusionConfig(n, config.local_pfa, config.system_pfa)
+    t = fus.system_threshold_t
+    curves = theory_curves(fus.detector, model, roi, n, t)
+    bounds = ants_bounds(n, t, config.likelihood_r)
+    return [
         ("n_sensors", str(n)),
         ("p0", _fmt(model.p0)),
         ("alpha", _fmt(model.alpha)),
         ("n_exp", _fmt(model.n_exp)),
         ("roi_b", _fmt(roi.side_b)),
-        ("local_pfa", _fmt(fus.detector.local_pfa)),
+        ("local_pfa", _fmt(fus.local_pfa)),
         ("system_pfa", _fmt(fus.system_pfa)),
-        ("likelihood_r", _fmt(settings["likelihood_r"])),
+        ("likelihood_r", _fmt(config.likelihood_r)),
         ("tau", _fmt(fus.detector.tau)),
-        ("system_threshold_t", _fmt(fus.system_threshold_t)),
+        ("system_threshold_t", _fmt(t)),
         ("gamma", _fmt(curves.gamma)),
         ("pd_bar", _fmt(curves.pd_bar)),
         ("sigma_bar_sq", _fmt(curves.sigma_bar_sq)),
-        ("theory_pfa", _fmt(system_pfa_approx(n, fus.detector.local_pfa, fus.system_threshold_t))),
+        ("theory_pfa", _fmt(system_pfa_approx(n, fus.local_pfa, t))),
         ("theory_pd", _fmt(curves.system_pd)),
+        ("ants_upper_case_bound", _fmt(bounds.upper_case_bound)),
+        ("ants_lower_case_bound", _fmt(bounds.lower_case_bound)),
+        ("ants_combined_bound", _fmt(bounds.combined)),
     ]
-    if fus.system_threshold_t < n:
-        bounds = ants_bounds(n, fus.system_threshold_t, settings["likelihood_r"])
-        rows += [
-            ("ants_upper_case_bound", _fmt(bounds.upper_case_bound)),
-            ("ants_lower_case_bound", _fmt(bounds.lower_case_bound)),
-            ("ants_combined_bound", _fmt(bounds.combined)),
-        ]
-    else:
-        # Threshold at/above the sensor count: savings bounds are undefined.
-        rows += [
-            ("ants_upper_case_bound", "NA"),
-            ("ants_lower_case_bound", "NA"),
-            ("ants_combined_bound", "NA"),
-        ]
-    return rows
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
-    _experiment_config(settings)  # full validation, field-naming errors
-    rows = _theory_rows(settings)
+    rows = _theory_rows(_experiment_config(settings))
     width = max(len(k) for k, _ in rows)
     for key, value in rows:
         print(f"{key:<{width}} = {value}")

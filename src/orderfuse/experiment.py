@@ -65,12 +65,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of one trial, with the full-count decision for auditing."""
+    """Outcome of one trial; its early decision was audited against the full count."""
 
     trial_index: int
     hypothesis: Hypothesis
     stopped: StoppedRun
-    full_count_decision: Hypothesis
     transmissions_saved: int
 
 
@@ -135,9 +134,7 @@ class _TrialStream:
         return self._gen
 
 
-@lru_cache(maxsize=128)
-def _fusion_for(n_sensors: int, local_pfa: float, system_pfa: float) -> FusionConfig:
-    return FusionConfig.from_rates(n_sensors, local_pfa, system_pfa)
+_fusion_for = lru_cache(maxsize=128)(FusionConfig)
 
 
 # Trials per chunk times sensors. Larger chunks run no faster and raise
@@ -217,18 +214,16 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         raise ValueError(f"trial_index {trial_index!r} outside [0, {config.n_trials})")
     fusion = _fusion_for(config.n_sensors, config.local_pfa, config.system_pfa)
     h1, stops = _run_chunk(config, fusion, _TrialStream(), trial_index, trial_index + 1)
-    decision = Hypothesis.H1 if stops.decision_h1[0] else Hypothesis.H0
     k = int(stops.k_transmitted[0])
     return TrialRecord(
         trial_index=trial_index,
         hypothesis=Hypothesis.H1 if h1[0] else Hypothesis.H0,
         stopped=StoppedRun(
             k_transmitted=k,
-            decision=decision,
+            decision=Hypothesis.H1 if stops.decision_h1[0] else Hypothesis.H0,
             crossing=CROSSINGS[stops.crossing[0]],
             partial_sum=int(stops.partial_sum[0]),
         ),
-        full_count_decision=decision,
         transmissions_saved=config.n_sensors - k,
     )
 
@@ -276,15 +271,11 @@ def cell_seed(master_seed: int, cell_index: int) -> int:
 
 
 def _with_axis_value(base: ExperimentConfig, axis: str, value, seed: int) -> ExperimentConfig:
-    if axis == "n_sensors":
-        return replace(base, n_sensors=int(value), master_seed=seed)
+    """``base`` with one axis of :data:`SWEEP_AXES` set; the caller checks ``axis``."""
     if axis == "p0":
         return replace(base, model=replace(base.model, p0=float(value)), master_seed=seed)
-    if axis == "local_pfa":
-        return replace(base, local_pfa=float(value), master_seed=seed)
-    if axis == "likelihood_r":
-        return replace(base, likelihood_r=float(value), master_seed=seed)
-    raise ValueError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
+    cast = int if axis == "n_sensors" else float
+    return replace(base, **{axis: cast(value)}, master_seed=seed)
 
 
 def sweep(base: ExperimentConfig, axis: str, values) -> list[SweepCell]:

@@ -108,12 +108,6 @@ def sample_field(n: int, roi: RoiConfig, rng: np.random.Generator) -> SensorFiel
     return SensorField(positions=rng.uniform(-half, half, size=(n, 2)))
 
 
-def distance(sensor: tuple[float, float], roi: RoiConfig) -> float:
-    """Euclidean distance from one sensor position to the target."""
-    x, y = sensor
-    return math.hypot(float(x) - roi.target_x, float(y) - roi.target_y)
-
-
 def signal_amplitude(model: SignalModel, d):
     """Signal amplitude at distance ``d``: sqrt(p0 / (1 + alpha * d**n_exp)).
 
@@ -131,9 +125,8 @@ def signal_amplitude(model: SignalModel, d):
 def oracle_distances(field: SensorField, roi: RoiConfig) -> np.ndarray:
     """True target-sensor distances, for known-geometry baselines only.
 
-    The deployed detectors treat distances as unknown; only the weighted
-    log-likelihood fusion baseline and the raw likelihood-ratio ordering
-    baseline are allowed to consume this.
+    The deployed detectors treat distances as unknown; only the raw
+    likelihood-ratio ordering baseline is allowed to consume this.
     """
     dx = field.positions[:, 0] - roi.target_x
     dy = field.positions[:, 1] - roi.target_y

@@ -13,22 +13,18 @@ computed as a radial integral over the disc inscribed in the ROI square
 plus a corner correction that evaluates the detection rate at the worst
 corner distance sqrt(2)*b/2 and weights it by the leftover area fraction
 (1 - pi/4).
-
-Also provided: the classical weighted log-likelihood fusion statistic,
-usable only as a known-geometry oracle baseline since its weights need
-each sensor's true detection probability.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .field import Hypothesis, RoiConfig, SignalModel, signal_amplitude
-from .statmath import QuadratureSpec, integrate, q_function, q_inverse
+from .statmath import integrate, q_function, q_inverse
 
 _CORNER_WEIGHT = 1.0 - math.pi / 4.0
 
@@ -39,55 +35,38 @@ class OffCenterTargetError(ValueError):
 
 @dataclass(frozen=True)
 class LocalDetector:
-    """Per-sensor one-bit detector: report 1 iff the observation exceeds tau."""
+    """Per-sensor one-bit detector: report 1 iff the observation exceeds tau.
 
-    tau: float
+    ``tau`` is derived from ``local_pfa`` as Qinv(local_pfa).
+    """
+
     local_pfa: float
+    tau: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.local_pfa < 1.0:
             raise ValueError(f"local_pfa must be in (0, 1), got {self.local_pfa!r}")
-        if abs(q_function(self.tau) - self.local_pfa) > 1e-9:
-            raise ValueError(
-                f"tau={self.tau!r} is inconsistent with local_pfa={self.local_pfa!r}"
-            )
+        object.__setattr__(self, "tau", q_inverse(self.local_pfa))
 
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """Resolved fusion-center configuration for ``n_sensors`` one-bit inputs."""
+    """Fusion center for ``n_sensors`` one-bit inputs, built from its two rates.
+
+    The local detector and the count threshold T are derived, so the
+    three always agree.
+    """
 
     n_sensors: int
-    detector: LocalDetector
+    local_pfa: float
     system_pfa: float
-    system_threshold_t: float
+    detector: LocalDetector = field(init=False)
+    system_threshold_t: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n_sensors < 1:
-            raise ValueError(f"n_sensors must be positive, got {self.n_sensors!r}")
-        if not 0.0 < self.system_pfa < 1.0:
-            raise ValueError(f"system_pfa must be in (0, 1), got {self.system_pfa!r}")
-        p = self.detector.local_pfa
-        t_ref = (
-            q_inverse(self.system_pfa) * math.sqrt(self.n_sensors * p * (1.0 - p))
-            + self.n_sensors * p
-        )
-        if abs(self.system_threshold_t - t_ref) > 1e-9:
-            raise ValueError(
-                f"system_threshold_t={self.system_threshold_t!r} is inconsistent "
-                f"with (n_sensors, local_pfa, system_pfa)"
-            )
-
-    @classmethod
-    def from_rates(cls, n_sensors: int, local_pfa: float, system_pfa: float) -> FusionConfig:
-        det = threshold_from_local_pfa(local_pfa)
-        t = system_threshold(n_sensors, local_pfa, system_pfa)
-        return cls(
-            n_sensors=int(n_sensors),
-            detector=det,
-            system_pfa=float(system_pfa),
-            system_threshold_t=t,
-        )
+        object.__setattr__(self, "detector", threshold_from_local_pfa(self.local_pfa))
+        t = system_threshold(self.n_sensors, self.local_pfa, self.system_pfa)
+        object.__setattr__(self, "system_threshold_t", t)
 
 
 @dataclass(frozen=True)
@@ -113,10 +92,7 @@ class TheoryCurves:
 
 def threshold_from_local_pfa(local_pfa: float) -> LocalDetector:
     """Local threshold achieving a given per-sensor false-alarm rate."""
-    local_pfa = float(local_pfa)
-    if not 0.0 < local_pfa < 1.0:
-        raise ValueError(f"local_pfa must be in (0, 1), got {local_pfa!r}")
-    return LocalDetector(tau=q_inverse(local_pfa), local_pfa=local_pfa)
+    return LocalDetector(float(local_pfa))
 
 
 def local_pd(det: LocalDetector, model: SignalModel, d: float) -> float:
@@ -124,16 +100,8 @@ def local_pd(det: LocalDetector, model: SignalModel, d: float) -> float:
     return q_function(det.tau - signal_amplitude(model, float(d)))
 
 
-def local_decide(z: float, det: LocalDetector) -> int:
-    """One-bit local decision; the tie z == tau decides 0 (open upper tail)."""
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"observation must be finite, got {z!r}")
-    return 1 if z > det.tau else 0
-
-
 def local_decisions(z, det: LocalDetector) -> np.ndarray:
-    """Vectorized local decisions for a whole observation vector."""
+    """One-bit local decisions; the tie z == tau decides 0 (open upper tail)."""
     return (np.asarray(z, dtype=float) > det.tau).astype(np.int64)
 
 
@@ -199,7 +167,6 @@ def theory_curves(
     roi: RoiConfig,
     n: int,
     t: float,
-    spec: QuadratureSpec | None = None,
 ) -> TheoryCurves:
     """Operating characteristics of the counting rule at threshold ``t``.
 
@@ -223,9 +190,9 @@ def theory_curves(
         return q_function(det.tau - signal_amplitude(model, r))
 
     disc_weight = 2.0 * math.pi / roi.side_b**2
-    i_pd = integrate(lambda r: hit_prob(r) * r, 0.0, half, spec)
+    i_pd = integrate(lambda r: hit_prob(r) * r, 0.0, half)
     pd_bar = disc_weight * i_pd + _CORNER_WEIGHT * gamma
-    i_var = integrate(lambda r: hit_prob(r) * (1.0 - hit_prob(r)) * r, 0.0, half, spec)
+    i_var = integrate(lambda r: hit_prob(r) * (1.0 - hit_prob(r)) * r, 0.0, half)
     sigma_bar_sq = disc_weight * i_var + _CORNER_WEIGHT * gamma * (1.0 - gamma)
 
     denom = math.sqrt(n * sigma_bar_sq)
@@ -237,23 +204,3 @@ def theory_curves(
     return TheoryCurves(
         gamma=gamma, pd_bar=pd_bar, sigma_bar_sq=sigma_bar_sq, system_pd=system_pd
     )
-
-
-def chair_varshney(decisions, pd_list, local_pfa: float) -> float:
-    """Weighted log-likelihood fusion statistic over one-bit decisions.
-
-    Oracle baseline: the per-sensor detection probabilities require the
-    true target-sensor distances (see ``field.oracle_distances``).
-    """
-    d = np.asarray(decisions, dtype=float)
-    pd = np.asarray(pd_list, dtype=float)
-    if d.shape != pd.shape or d.ndim != 1 or d.size == 0:
-        raise ValueError("decisions and pd_list must be nonempty vectors of equal length")
-    local_pfa = float(local_pfa)
-    if not 0.0 < local_pfa < 1.0:
-        raise ValueError(f"local_pfa must be in (0, 1), got {local_pfa!r}")
-    if np.any((pd <= 0.0) | (pd >= 1.0)):
-        raise ValueError("every pd must be in the open interval (0, 1)")
-    pos = d * np.log(pd / local_pfa)
-    neg = (1.0 - d) * np.log((1.0 - pd) / (1.0 - local_pfa))
-    return float(np.sum(pos + neg))

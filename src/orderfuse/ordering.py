@@ -22,10 +22,11 @@ runs from one sort of packed (transmit time, bit) keys; only a run in
 which two sensors share a transmit time goes through the stable
 :func:`arrival_order`, which puts equal times in index order.
 
-The module also provides the expected-savings lower bounds for the two
-stop cases and, as an oracle baseline, the classical ordering protocol
-in which sensors transmit raw log-likelihood ratios (requires the true
-signal amplitudes, i.e. known geometry).
+The module also provides the best-case savings for the two stop cases
+and, as an oracle baseline, the classical ordering protocol in which
+sensors transmit raw log-likelihood ratios (requires the true signal
+amplitudes, i.e. known geometry). Both per-run scans share one
+first-crossing rule.
 """
 
 from __future__ import annotations
@@ -49,32 +50,23 @@ class Crossing(Enum):
     EXHAUSTED = "exhausted"
 
 
-@dataclass(frozen=True, eq=False)
-class TransmissionSchedule:
-    """Transmit times per sensor and the induced arrival order.
-
-    ``times[i]`` is 1/|z_i - tau| (infinite when z_i == tau, which
-    schedules that sensor last); ``order`` lists sensor indices earliest
-    transmitter first, ties broken by ascending index.
-    """
-
-    order: np.ndarray
-    times: np.ndarray
-
-
 @dataclass(frozen=True)
 class StoppedRun:
-    """Outcome of one ordered-fusion run."""
+    """Outcome of one ordered-fusion run.
+
+    ``partial_sum`` is the count of positive bits for the counting rule
+    and the log-likelihood sum for the likelihood-ratio baseline.
+    """
 
     k_transmitted: int
     decision: Hypothesis
     crossing: Crossing
-    partial_sum: int
+    partial_sum: float
 
 
 @dataclass(frozen=True)
 class AntsBounds:
-    """Lower bounds on expected transmissions saved, by stop case.
+    """Best-case transmissions saved, by stop case, weighted by likelihood.
 
     ``likelihood_r`` is the fraction of runs with the target present; it
     characterizes savings only and never enters any detector.
@@ -86,27 +78,40 @@ class AntsBounds:
     likelihood_r: float
 
 
-@dataclass(frozen=True)
-class LrOrderedRun:
-    """Outcome of one raw log-likelihood-ratio ordered run (oracle baseline)."""
-
-    k_transmitted: int
-    decision: Hypothesis
-    crossing: Crossing
-    partial_sum: float
-
-
 def _transmit_times(z: np.ndarray, tau: float) -> np.ndarray:
     """1/|z - tau| elementwise: positive doubles, ``inf`` for a zero gap."""
     with np.errstate(divide="ignore", over="ignore"):
         return 1.0 / np.abs(z - tau)
 
 
-def schedule(observations: ObservationVector, det: LocalDetector) -> TransmissionSchedule:
-    """Transmit times 1/|z - tau| and the arrival order they induce."""
-    times = _transmit_times(observations.z, det.tau)
-    order = np.argsort(times, kind="stable")
-    return TransmissionSchedule(order=order, times=times)
+def schedule(observations: ObservationVector, det: LocalDetector) -> np.ndarray:
+    """Sensor indices in arrival order, earliest transmitter first.
+
+    Sensor i transmits at 1/|z_i - tau| (never, i.e. last, when
+    z_i == tau); equal times go in ascending index order.
+    """
+    return arrival_order(observations.z, det.tau)
+
+
+def _first_crossing(
+    sums: np.ndarray, upper: np.ndarray, lower: np.ndarray, exhausted_h1: bool
+) -> StoppedRun:
+    """Stop at the first k where ``upper`` (H1) or ``lower`` (H0) holds.
+
+    ``sums[k - 1]`` is the partial sum after k arrivals. If neither
+    condition ever holds the run is EXHAUSTED at k = n and decides H1
+    iff ``exhausted_h1``.
+    """
+    fired = upper | lower
+    if fired.any():
+        idx = int(np.argmax(fired))
+        if upper[idx]:
+            crossing, decision = Crossing.UPPER, Hypothesis.H1
+        else:
+            crossing, decision = Crossing.LOWER, Hypothesis.H0
+        return StoppedRun(idx + 1, decision, crossing, sums[idx].item())
+    decision = Hypothesis.H1 if exhausted_h1 else Hypothesis.H0
+    return StoppedRun(len(sums), decision, Crossing.EXHAUSTED, sums[-1].item())
 
 
 def run_ordered_counting(ordered_decisions, n: int, t: float) -> StoppedRun:
@@ -130,28 +135,7 @@ def run_ordered_counting(ordered_decisions, n: int, t: float) -> StoppedRun:
 
     counts = np.cumsum(d.astype(np.int64))
     k = np.arange(1, n + 1)
-    upper = counts > t
-    lower = counts < t - (n - k)
-    fired = upper | lower
-    if fired.any():
-        idx = int(np.argmax(fired))
-        if upper[idx]:
-            crossing, decision = Crossing.UPPER, Hypothesis.H1
-        else:
-            crossing, decision = Crossing.LOWER, Hypothesis.H0
-        return StoppedRun(
-            k_transmitted=idx + 1,
-            decision=decision,
-            crossing=crossing,
-            partial_sum=int(counts[idx]),
-        )
-    final = int(counts[-1])
-    return StoppedRun(
-        k_transmitted=n,
-        decision=Hypothesis.H1 if final > t else Hypothesis.H0,
-        crossing=Crossing.EXHAUSTED,
-        partial_sum=final,
-    )
+    return _first_crossing(counts, counts > t, counts < t - (n - k), counts[-1] > t)
 
 
 class StopBatch(NamedTuple):
@@ -225,15 +209,18 @@ def stop_batch(ordered_decisions: np.ndarray, t: float) -> StopBatch:
 
 
 def ants_bounds(n: int, t: float, r: float) -> AntsBounds:
-    """Lower bounds on expected transmissions saved at threshold ``t``.
+    """Best-case transmissions saved at threshold ``t``, by stop case.
 
-    When the upper threshold stops the run (strong target signal), at
-    most ceil(t) transmissions are needed, saving at least
-    (n - ceil(t)) * r in expectation; when the lower threshold stops it
-    (target absent), at least ceil(t) are saved, contributing
-    ceil(t) * (1 - r). The two stop events are disjoint, so the bounds
-    add; at r = 0.5 the combined bound is exactly n/2. The bounds are
-    meaningful for 0 < t < n.
+    An upper stop needs a count above ``t``, so at least
+    max(1, floor(t) + 1) arrivals: it saves at most
+    n - max(1, floor(t) + 1), weighted by r (0 when no upper stop is
+    possible, t >= n). A lower stop after k arrivals needs
+    n - k < t - count, so it saves at most min(n - 1, ceil(t) - 1),
+    weighted by 1 - r (0 when t <= 0). These are what a run with every
+    bit 1, or every bit 0, saves; they are not bounds on the expected
+    savings of random runs, which save less. Each value lies in
+    [0, n - 1] for every real ``t``; for non-integer t in (0, n) at
+    r = 0.5 the combined value is (n - 1) / 2.
     """
     n = int(n)
     if n < 1:
@@ -242,11 +229,8 @@ def ants_bounds(n: int, t: float, r: float) -> AntsBounds:
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must be in [0, 1], got {r!r}")
     t = float(t)
-    if not t < n:
-        raise ValueError(f"threshold t={t!r} must be below the sensor count {n}")
-    ct = math.ceil(t)
-    upper_case = (n - ct) * r
-    lower_case = ct * (1.0 - r)
+    upper_case = r * max(0, n - max(1, math.floor(t) + 1))
+    lower_case = (1.0 - r) * min(n - 1, max(0, math.ceil(t) - 1))
     return AntsBounds(
         upper_case_bound=upper_case,
         lower_case_bound=lower_case,
@@ -260,7 +244,7 @@ def lr_schedule_and_run(
     true_amplitudes,
     prior_p: float,
     n: int,
-) -> LrOrderedRun:
+) -> StoppedRun:
     """Raw log-likelihood-ratio ordering protocol (oracle baseline).
 
     For the Gaussian mean-shift observation model the per-sensor
@@ -294,25 +278,5 @@ def lr_schedule_and_run(
     slack = (n - k) * np.abs(ordered)
     theta = math.log((1.0 - prior_p) / prior_p)
 
-    upper = sums > theta + slack
-    lower = sums < theta - slack
-    fired = upper | lower
-    if fired.any():
-        idx = int(np.argmax(fired))
-        if upper[idx]:
-            crossing, decision = Crossing.UPPER, Hypothesis.H1
-        else:
-            crossing, decision = Crossing.LOWER, Hypothesis.H0
-        return LrOrderedRun(
-            k_transmitted=idx + 1,
-            decision=decision,
-            crossing=crossing,
-            partial_sum=float(sums[idx]),
-        )
     # Exhaustion means the full sum sits exactly on the Bayes threshold.
-    return LrOrderedRun(
-        k_transmitted=n,
-        decision=Hypothesis.H0,
-        crossing=Crossing.EXHAUSTED,
-        partial_sum=float(sums[-1]),
-    )
+    return _first_crossing(sums, sums > theta + slack, sums < theta - slack, False)

@@ -177,7 +177,7 @@ def test_criterion_6_gaussian_approximation_quality():
 
 def test_criterion_7_theory_pd_vs_empirical():
     model = SignalModel(p0=200.0, alpha=0.02, n_exp=2.0)
-    fus = FusionConfig.from_rates(100, 1e-3, 1e-3)
+    fus = FusionConfig(100, 1e-3, 1e-3)
     curves = theory_curves(fus.detector, model, ROI, 100, fus.system_threshold_t)
     summary = monte_carlo(_config(model=model, likelihood_r=1.0, master_seed=707))
     gap = abs(curves.system_pd - summary.empirical_pd)
@@ -193,7 +193,7 @@ def test_criterion_8_quadrature_vs_monte_carlo():
     # 1e7-sample Monte Carlo of the same disc-plus-corner expression the
     # adaptive quadrature evaluates.
     model = SignalModel(p0=200.0, alpha=0.02, n_exp=2.0)
-    fus = FusionConfig.from_rates(100, 1e-3, 1e-3)
+    fus = FusionConfig(100, 1e-3, 1e-3)
     curves = theory_curves(fus.detector, model, ROI, 100, fus.system_threshold_t)
 
     erfc_vec = np.frompyfunc(math.erfc, 1, 1)

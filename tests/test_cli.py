@@ -98,10 +98,29 @@ def test_theory_no_signal_pd_equals_pfa(capsys):
 
 
 def test_theory_even_likelihood_bound_is_half_n(capsys):
+    # T = 1.077 is not an integer, so the best cases add to (N - 1) / 2.
     table = run_theory_table(
         ["--n-sensors", "100", "--p0", "200", "--likelihood-r", "0.5"], capsys
     )
-    assert float(table["ants_combined_bound"]) == 50.0
+    assert float(table["ants_combined_bound"]) == 49.5
+
+
+@pytest.mark.parametrize(
+    "args, n, expected",
+    [
+        # T = -1.08 <= 0: the first arrival stops every run upper.
+        (["--n-sensors", "100", "--system-pfa", "0.9999", "--likelihood-r", "1"], 100, "99,0,99"),
+        # T = 6.99 >= N: the first arrival stops every run lower.
+        (["--n-sensors", "5", "--local-pfa", "0.9", "--system-pfa", "0.0001"], 5, "0,2,2"),
+    ],
+    ids=["t-below-0", "t-above-n"],
+)
+def test_theory_savings_defined_for_degenerate_thresholds(capsys, args, n, expected):
+    with pytest.warns(RuntimeWarning, match="count threshold"):
+        table = run_theory_table([*args, "--p0", "100"], capsys)
+    keys = ("ants_upper_case_bound", "ants_lower_case_bound", "ants_combined_bound")
+    assert ",".join(table[k] for k in keys) == expected
+    assert all(0.0 <= float(table[k]) <= n - 1 for k in keys)
 
 
 def test_theory_csv_output(tmp_path, capsys):

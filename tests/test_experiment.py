@@ -91,10 +91,13 @@ def test_run_trial_bounds():
 
 
 def test_trial_equivalence_audit_holds():
+    # Every early decision equals the counting rule over all N bits.
     config = make_config(n_trials=200)
+    fusion = FusionConfig(config.n_sensors, config.local_pfa, config.system_pfa)
     for i in range(200):
         rec = run_trial(config, i)
-        assert rec.stopped.decision is rec.full_count_decision
+        _, _, bits = reference_draws(config, fusion, i)
+        assert rec.stopped.decision is counting_rule(bits, fusion.system_threshold_t)
         assert rec.transmissions_saved == config.n_sensors - rec.stopped.k_transmitted
 
 
@@ -165,21 +168,26 @@ def test_stderr_matches_numpy_reference():
 # ── batched kernel against the per-trial pipeline ───────────────────
 
 
-def reference_trial(config: ExperimentConfig, fusion: FusionConfig, trial_index: int) -> TrialRecord:
-    """One trial through the per-trial object pipeline, from its own stream."""
-    t = fusion.system_threshold_t
+def reference_draws(config: ExperimentConfig, fusion: FusionConfig, trial_index: int):
+    """Hypothesis, observations and local bits of one trial, from its own stream."""
     rng = trial_rng(config.master_seed, trial_index)
     hyp = Hypothesis.H1 if rng.random() < config.likelihood_r else Hypothesis.H0
     field = sample_field(config.n_sensors, config.roi, rng)
     observations = generate_observations(field, config.roi, config.model, hyp, rng)
-    bits = local_decisions(observations.z, fusion.detector)
-    order = schedule(observations, fusion.detector).order
+    return hyp, observations, local_decisions(observations.z, fusion.detector)
+
+
+def reference_trial(config: ExperimentConfig, fusion: FusionConfig, trial_index: int) -> TrialRecord:
+    """One trial through the per-trial object pipeline, from its own stream."""
+    t = fusion.system_threshold_t
+    hyp, observations, bits = reference_draws(config, fusion, trial_index)
+    order = schedule(observations, fusion.detector)
     stopped = run_ordered_counting(bits[order], config.n_sensors, t)
+    assert stopped.decision is counting_rule(bits, t)
     return TrialRecord(
         trial_index=trial_index,
         hypothesis=hyp,
         stopped=stopped,
-        full_count_decision=counting_rule(bits, t),
         transmissions_saved=config.n_sensors - stopped.k_transmitted,
     )
 
@@ -223,7 +231,7 @@ def test_chunked_kernel_equals_per_trial_pipeline(n_sensors, likelihood_r):
         n_trials=2 * _chunk_size(n_sensors) + 3,
         master_seed=31 + n_sensors,
     )
-    fusion = FusionConfig.from_rates(n_sensors, config.local_pfa, config.system_pfa)
+    fusion = FusionConfig(n_sensors, config.local_pfa, config.system_pfa)
     records = [reference_trial(config, fusion, i) for i in range(config.n_trials)]
     expected = reference_summary(records)
     if likelihood_r == 0.5:
@@ -275,8 +283,9 @@ def test_sweep_orders_rows_as_given():
 
 
 def test_savings_clear_lower_bound_in_strong_signal_regime():
-    # The expected-savings lower bound only binds when the signal is
-    # strong enough that detection is near-certain; assert it there.
+    # The best-case savings are reached only when the signal is strong
+    # enough that detection is near-certain and every H1 run's ones
+    # arrive first; assert the mean sits within 3 stderr of it there.
     from orderfuse.fusion import system_threshold
     from orderfuse.ordering import ants_bounds
 
@@ -285,5 +294,6 @@ def test_savings_clear_lower_bound_in_strong_signal_regime():
     s = monte_carlo(config)
     assert s.empirical_pd >= 0.999
     t = system_threshold(config.n_sensors, config.local_pfa, config.system_pfa)
-    bound = ants_bounds(config.n_sensors, t, config.likelihood_r).combined
-    assert s.ants_mean >= bound - 3.0 * s.ants_stderr
+    best = ants_bounds(config.n_sensors, t, config.likelihood_r).combined
+    assert best == 49.5
+    assert abs(s.ants_mean - best) <= 3.0 * s.ants_stderr

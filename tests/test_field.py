@@ -13,7 +13,6 @@ from orderfuse.field import (
     RoiConfig,
     SensorField,
     SignalModel,
-    distance,
     generate_observations,
     oracle_amplitudes,
     oracle_distances,
@@ -91,16 +90,20 @@ def test_field_reproducible_per_seed():
 # ── distance ────────────────────────────────────────────────────────
 
 
+def distances(points, roi: RoiConfig) -> np.ndarray:
+    return oracle_distances(SensorField(positions=np.array(points, dtype=float)), roi)
+
+
 def test_distance_examples():
-    roi = RoiConfig(side_b=200.0)
-    assert distance((0.0, 0.0), roi) == 0.0
-    assert distance((3.0, 4.0), roi) == 5.0
-    assert distance((-50.0, -50.0), roi) == pytest.approx(70.7107, abs=1e-4)
+    d = distances([(0.0, 0.0), (3.0, 4.0), (-50.0, -50.0)], RoiConfig(side_b=200.0))
+    assert d[0] == 0.0
+    assert d[1] == 5.0
+    assert d[2] == pytest.approx(70.7107, abs=1e-4)
 
 
 def test_distance_respects_target_offset():
     roi = RoiConfig(side_b=200.0, target_x=3.0, target_y=4.0)
-    assert distance((0.0, 0.0), roi) == 5.0
+    assert distances([(0.0, 0.0)], roi)[0] == 5.0
 
 
 # ── signal_amplitude ────────────────────────────────────────────────

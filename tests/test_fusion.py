@@ -12,9 +12,7 @@ from orderfuse.fusion import (
     FusionConfig,
     LocalDetector,
     OffCenterTargetError,
-    chair_varshney,
     counting_rule,
-    local_decide,
     local_decisions,
     local_pd,
     system_pfa_approx,
@@ -60,7 +58,11 @@ def test_threshold_boundary_probabilities():
 
 
 def test_detector_consistency_enforced():
-    with pytest.raises(ValueError):
+    # tau is derived from local_pfa, so it cannot be set apart from it.
+    for pfa in (1e-6, 1e-3, 0.05, 0.5, 0.9):
+        det = LocalDetector(pfa)
+        assert det.tau == pytest.approx(q_inverse_bisect(pfa), abs=1e-9)
+    with pytest.raises(TypeError):
         LocalDetector(tau=1.0, local_pfa=0.5)
 
 
@@ -106,14 +108,14 @@ def test_local_pd_monotone(d1, d2, p0_1, p0_2):
     )
 
 
-# ── local_decide / counting_rule ────────────────────────────────────
+# ── local_decisions / counting_rule ─────────────────────────────────
 
 
 def test_local_decide_strict_exceedance():
     det = threshold_from_local_pfa(1e-3)
-    assert local_decide(det.tau + 0.1, det) == 1
-    assert local_decide(det.tau - 0.1, det) == 0
-    assert local_decide(det.tau, det) == 0
+    np.testing.assert_array_equal(
+        local_decisions([det.tau + 0.1, det.tau - 0.1, det.tau], det), [1, 0, 0]
+    )
 
 
 def test_local_decisions_vectorized():
@@ -185,15 +187,23 @@ def test_system_pfa_gaussian_vs_exact_binomial():
 
 
 def test_fusion_config_from_rates():
-    fus = FusionConfig.from_rates(100, 1e-3, 1e-3)
+    fus = FusionConfig(100, 1e-3, 1e-3)
+    assert fus.system_threshold_t == system_threshold(100, 1e-3, 1e-3)
     assert fus.system_threshold_t == pytest.approx(1.07673, abs=1e-4)
+    assert fus.detector == threshold_from_local_pfa(1e-3)
     assert fus.detector.local_pfa == 1e-3
+    for bad in ((0, 1e-3, 1e-3), (100, 0.0, 1e-3), (100, 1e-3, 1.0)):
+        with pytest.raises(ValueError):
+            FusionConfig(*bad)
 
 
 def test_fusion_config_rejects_inconsistent_threshold():
+    # The detector and T are derived from the rates; neither can be passed in.
     det = threshold_from_local_pfa(1e-3)
-    with pytest.raises(ValueError):
-        FusionConfig(n_sensors=100, detector=det, system_pfa=1e-3, system_threshold_t=2.0)
+    with pytest.raises(TypeError):
+        FusionConfig(n_sensors=100, local_pfa=1e-3, system_pfa=1e-3, system_threshold_t=2.0)
+    with pytest.raises(TypeError):
+        FusionConfig(n_sensors=100, local_pfa=1e-3, system_pfa=1e-3, detector=det)
 
 
 # ── theory_curves ───────────────────────────────────────────────────
@@ -251,37 +261,3 @@ def test_theory_variance_capped():
     model = SignalModel(p0=3.0, alpha=0.02)
     curves = theory_curves(det, model, RoiConfig(side_b=100.0), 100, 45.0)
     assert 0.0 <= curves.sigma_bar_sq <= 0.25
-
-
-# ── chair_varshney ──────────────────────────────────────────────────
-
-
-def test_chair_varshney_single_sensor():
-    assert chair_varshney([1], [0.9], 0.1) == pytest.approx(math.log(9.0), abs=1e-5)
-    assert chair_varshney([0], [0.9], 0.1) == pytest.approx(-math.log(9.0), abs=1e-5)
-
-
-def test_chair_varshney_uninformative_sensors():
-    # pd == pfa everywhere: both log ratios vanish for any decisions.
-    assert chair_varshney([1, 0, 1], [0.1, 0.1, 0.1], 0.1) == 0.0
-
-
-def test_chair_varshney_domain_errors():
-    with pytest.raises(ValueError):
-        chair_varshney([1], [1.0], 0.1)
-    with pytest.raises(ValueError):
-        chair_varshney([1], [0.0], 0.1)
-    with pytest.raises(ValueError):
-        chair_varshney([1, 0], [0.9], 0.1)
-
-
-def test_chair_varshney_matches_loop_reference():
-    rng = np.random.default_rng(5)
-    bits = rng.integers(0, 2, size=20)
-    pds = rng.uniform(0.05, 0.95, size=20)
-    pfa = 0.1
-    expected = sum(
-        b * math.log(pd / pfa) + (1 - b) * math.log((1 - pd) / (1 - pfa))
-        for b, pd in zip(bits, pds)
-    )
-    assert chair_varshney(bits, pds, pfa) == pytest.approx(expected, rel=1e-12)

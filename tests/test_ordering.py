@@ -1,4 +1,4 @@
-"""Tests for transmission scheduling, early stopping, and savings bounds."""
+"""Tests for transmission scheduling, early stopping, and best-case savings."""
 
 import itertools
 import math
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from orderfuse.field import Hypothesis, ObservationVector, RoiConfig, SignalModel, oracle_amplitudes, sample_field
 from orderfuse.fusion import LocalDetector, counting_rule
+from orderfuse.statmath import q_function
 from orderfuse.ordering import (
     CROSSINGS,
     Crossing,
@@ -23,10 +24,15 @@ from orderfuse.ordering import (
 )
 
 
-def detector_with_tau(tau: float) -> LocalDetector:
-    from orderfuse.statmath import q_function
+def detector_near(tau: float) -> LocalDetector:
+    """A detector whose threshold is ``tau`` up to the Qinv round trip."""
+    return LocalDetector(q_function(tau))
 
-    return LocalDetector(tau=tau, local_pfa=q_function(tau))
+
+def reference_order(z_row, tau: float) -> list[int]:
+    """Arrival order by plain Python: transmit time 1/|z - tau|, then index."""
+    times = [math.inf if v == tau else 1.0 / abs(v - tau) for v in z_row]
+    return sorted(range(len(times)), key=lambda i: (times[i], i))
 
 
 def obs(values, hypothesis=Hypothesis.H0) -> ObservationVector:
@@ -37,32 +43,31 @@ def obs(values, hypothesis=Hypothesis.H0) -> ObservationVector:
 
 
 def test_schedule_hand_trace():
-    det = detector_with_tau(3.09)
-    sched = schedule(obs([4.1, 2.9, -1.0]), det)
+    det = detector_near(3.09)
+    z = np.array([4.1, 2.9, -1.0])
+    order = schedule(obs(z), det)
     # |z - tau| = [1.01, 0.19, 4.09] -> times [0.99, 5.26, 0.24]
-    np.testing.assert_array_equal(sched.order, [2, 0, 1])
-    np.testing.assert_allclose(sched.times, [1 / 1.01, 1 / 0.19, 1 / 4.09], rtol=1e-12)
-    bits = (np.array([4.1, 2.9, -1.0]) > det.tau).astype(int)
-    np.testing.assert_array_equal(bits[sched.order], [0, 1, 0])
+    np.testing.assert_array_equal(order, [2, 0, 1])
+    bits = (z > det.tau).astype(int)
+    np.testing.assert_array_equal(bits[order], [0, 1, 0])
 
 
 def test_schedule_tie_break_by_index():
-    det = detector_with_tau(0.0)
-    sched = schedule(obs([-2.0, 2.0, 1.0]), det)  # sensors 0 and 1 tie
-    np.testing.assert_array_equal(sched.order, [0, 1, 2])
+    det = LocalDetector(0.5)  # tau = 0 exactly
+    order = schedule(obs([-2.0, 2.0, 1.0]), det)  # sensors 0 and 1 tie
+    np.testing.assert_array_equal(order, [0, 1, 2])
 
 
 def test_schedule_single_sensor():
-    det = detector_with_tau(1.0)
-    sched = schedule(obs([5.0]), det)
-    np.testing.assert_array_equal(sched.order, [0])
+    order = schedule(obs([5.0]), detector_near(1.0))
+    np.testing.assert_array_equal(order, [0])
 
 
 def test_schedule_observation_at_threshold_goes_last():
-    det = detector_with_tau(1.0)
-    sched = schedule(obs([1.0, 3.0, 0.5]), det)
-    assert math.isinf(sched.times[0])
-    assert sched.order[-1] == 0
+    det = detector_near(1.0)
+    # A zero gap never transmits on its own: its time is infinite.
+    order = schedule(obs([det.tau, 3.0, 0.5]), det)
+    assert order[-1] == 0
 
 
 # ── run_ordered_counting ────────────────────────────────────────────
@@ -177,8 +182,8 @@ def _reciprocal_collision() -> tuple[float, float]:
 
 
 def test_arrival_order_matches_schedule_rows_with_ties():
-    tau = 0.75
-    det = detector_with_tau(tau)
+    det = detector_near(0.75)
+    tau = det.tau
     rng = np.random.default_rng(5)
     # Few distinct values per row force equal gaps, on both sides of tau
     # and at tau itself (zero gap: transmits last).
@@ -187,17 +192,17 @@ def test_arrival_order_matches_schedule_rows_with_ties():
     order = arrival_order(z, tau)
     assert order.shape == z.shape
     for row in range(z.shape[0]):
-        np.testing.assert_array_equal(order[row], schedule(obs(z[row]), det).order)
+        np.testing.assert_array_equal(order[row], reference_order(z[row], tau))
+        np.testing.assert_array_equal(order[row], schedule(obs(z[row]), det))
 
 
 def test_arrival_order_ties_on_equal_times_not_gaps():
     # Distinct gaps with equal transmit times keep index order.
     g1, g2 = _reciprocal_collision()
-    det = detector_with_tau(0.0)
     z = np.array([[g1, g2, 0.0, -g2, -g1]])
     order = arrival_order(z, 0.0)
     np.testing.assert_array_equal(order[0], [0, 1, 3, 4, 2])
-    np.testing.assert_array_equal(order[0], schedule(obs(z[0]), det).order)
+    np.testing.assert_array_equal(order[0], schedule(obs(z[0]), LocalDetector(0.5)))
 
 
 def assert_ordered_bits_match(z: np.ndarray, tau: float) -> None:
@@ -267,28 +272,57 @@ def test_ordered_bits_mixed_batch():
 
 
 def test_ants_bounds_example():
+    # Upper stop: 2 ones arrive first and save 98; lower stop: the count
+    # must fall below T - (N - k), so at most 1 of 100 is saved.
     b = ants_bounds(100, 1.0767, 0.5)
     assert b.upper_case_bound == 49.0
-    assert b.lower_case_bound == 1.0
-    assert b.combined == 50.0
+    assert b.lower_case_bound == 0.5
+    assert b.combined == 49.5
 
 
 def test_ants_bounds_extreme_likelihoods():
     assert ants_bounds(100, 1.0767, 1.0).combined == 100 - 2
-    assert ants_bounds(100, 1.0767, 0.0).combined == 2
+    assert ants_bounds(100, 1.0767, 0.0).combined == 1
 
 
 @given(st.integers(min_value=1, max_value=500), st.data())
 def test_ants_bounds_half_likelihood_is_half_n(n, data):
-    t = data.draw(st.floats(min_value=1e-6, max_value=n - 1e-6))
-    assert ants_bounds(n, t, 0.5).combined == n / 2.0
+    non_integer = st.floats(min_value=1e-6, max_value=n - 1e-6).filter(lambda x: x != math.floor(x))
+    t = data.draw(non_integer)
+    assert ants_bounds(n, t, 0.5).combined == (n - 1) / 2.0
 
 
 def test_ants_bounds_domain():
     with pytest.raises(ValueError):
-        ants_bounds(10, 10.0, 0.5)
+        ants_bounds(0, 3.0, 0.5)
     with pytest.raises(ValueError):
         ants_bounds(10, 3.0, 1.5)
+    # Defined for every threshold: T <= 0 allows no lower stop, T >= N
+    # no upper stop, and a first arrival can decide either way.
+    cases = ((-1.07, 99, 0), (0.0, 99, 0), (10.0, 89, 9), (100.0, 0, 99), (7e9, 0, 99))
+    for t, upper, lower in cases:
+        assert ants_bounds(100, t, 1.0).upper_case_bound == upper
+        assert ants_bounds(100, t, 0.0).lower_case_bound == lower
+
+
+def test_ants_bounds_are_best_cases_exhaustive():
+    # Every bit vector up to n = 12: no run that stops UPPER (LOWER)
+    # saves more than the upper (lower) case, and whenever that stop can
+    # happen some run saves exactly that much.
+    for n in range(1, 13):
+        vectors = [np.array(bits, dtype=np.int64) for bits in itertools.product((0, 1), repeat=n)]
+        for t in sorted({-2.5, -1.0, 0.0, 0.5, 1.0, n // 2, n / 2 + 0.3, n - 1.0, n, n + 1.5}):
+            best = {Crossing.UPPER: None, Crossing.LOWER: None}
+            for bits in vectors:
+                run = run_ordered_counting(bits, n, t)
+                if run.crossing in best:
+                    saved = n - run.k_transmitted
+                    best[run.crossing] = max(saved, best[run.crossing] or 0)
+            upper = ants_bounds(n, t, 1.0).upper_case_bound
+            lower = ants_bounds(n, t, 0.0).lower_case_bound
+            assert 0 <= upper <= n - 1 and 0 <= lower <= n - 1, (n, t)
+            assert upper == (best[Crossing.UPPER] or 0), (n, t, best)
+            assert lower == (best[Crossing.LOWER] or 0), (n, t, best)
 
 
 # ── lr_schedule_and_run (oracle baseline) ───────────────────────────
