@@ -58,7 +58,6 @@ from .ordering import (
 )
 from .statmath import (
     QuadratureConvergenceError,
-    QuadratureSpec,
     integrate,
     q_function,
     q_inverse,
@@ -75,7 +74,6 @@ __all__ = [
     "ObservationVector",
     "OffCenterTargetError",
     "QuadratureConvergenceError",
-    "QuadratureSpec",
     "RoiConfig",
     "SensorField",
     "SignalModel",

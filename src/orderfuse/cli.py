@@ -40,32 +40,23 @@ CSV_COLUMNS = (
     "upper_count,lower_count,exhausted_count"
 )
 
-# Keys accepted in a config file; flags override file values.
-_INT_KEYS = {"n_sensors", "n_trials", "master_seed", "threads"}
-_FLOAT_KEYS = {
-    "p0",
-    "alpha",
-    "n_exp",
-    "roi_b",
-    "target_x",
-    "target_y",
-    "local_pfa",
-    "system_pfa",
-    "likelihood_r",
-}
-
-_DEFAULTS = {
-    "alpha": 0.02,
-    "n_exp": 2.0,
-    "roi_b": 100.0,
-    "target_x": 0.0,
-    "target_y": 0.0,
-    "local_pfa": 1e-3,
-    "system_pfa": 1e-3,
-    "likelihood_r": 0.5,
-    "n_trials": 100_000,
-    "master_seed": 0,
-    "threads": 1,
+# Every setting: config-file key -> (type, default, flag, metavar, help).
+# A default of None marks a required setting; a flag of None, a setting
+# only a config file can give.
+_SETTINGS = {
+    "n_sensors": (int, None, "--n-sensors", "INT", None),
+    "p0": (float, None, "--p0", "REAL", "emitted power at distance 0"),
+    "alpha": (float, 0.02, "--alpha", "REAL", "power decay constant"),
+    "n_exp": (float, 2.0, "--decay-exp", "REAL", None),
+    "roi_b": (float, 100.0, "--roi-b", "REAL", "ROI side length"),
+    "target_x": (float, 0.0, None, None, None),
+    "target_y": (float, 0.0, None, None, None),
+    "local_pfa": (float, 1e-3, "--local-pfa", "REAL", None),
+    "system_pfa": (float, 1e-3, "--system-pfa", "REAL", None),
+    "likelihood_r": (float, 0.5, "--likelihood-r", "REAL", None),
+    "n_trials": (int, 100_000, "--trials", "INT", None),
+    "master_seed": (int, 0, "--seed", "UINT64", None),
+    "threads": (int, 1, "--threads", "INT", "accepted, no effect"),
 }
 
 
@@ -94,45 +85,29 @@ def _parse_config_file(path: str) -> dict:
             raise ConfigError(f"config: line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: expected an integer, got {val!r}") from exc
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: expected a number, got {val!r}") from exc
-        else:
+        if key not in _SETTINGS:
             raise ConfigError(f"config: unknown key {key!r} on line {lineno}")
+        cast = _SETTINGS[key][0]
+        try:
+            values[key] = cast(val)
+        except ValueError as exc:
+            kind = "an integer" if cast is int else "a number"
+            raise ConfigError(f"{key}: expected {kind}, got {val!r}") from exc
     return values
 
 
 def _resolve_settings(args: argparse.Namespace) -> dict:
     """Defaults, then config file, then flags."""
-    settings = dict(_DEFAULTS)
+    settings = {key: default for key, (_, default, *_) in _SETTINGS.items() if default is not None}
     if args.config is not None:
         settings.update(_parse_config_file(args.config))
-    flag_map = {
-        "n_sensors": args.n_sensors,
-        "p0": args.p0,
-        "alpha": args.alpha,
-        "n_exp": args.decay_exp,
-        "roi_b": args.roi_b,
-        "local_pfa": args.local_pfa,
-        "system_pfa": args.system_pfa,
-        "likelihood_r": args.likelihood_r,
-        "n_trials": args.trials,
-        "master_seed": args.seed,
-        "threads": args.threads,
-    }
-    for key, value in flag_map.items():
+    for key in _SETTINGS:
+        value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    for key in ("n_sensors", "p0"):
+    for key, (_, _, flag, *_) in _SETTINGS.items():
         if key not in settings:
-            raise ConfigError(f"{key}: required (set --{key.replace('_', '-')} or a config file entry)")
+            raise ConfigError(f"{key}: required (set {flag} or a config file entry)")
     return settings
 
 
@@ -307,17 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", metavar="PATH", help="key=value config file")
-        p.add_argument("--n-sensors", dest="n_sensors", type=int, metavar="INT")
-        p.add_argument("--p0", type=float, metavar="REAL", help="emitted power at distance 0")
-        p.add_argument("--alpha", type=float, metavar="REAL", help="power decay constant")
-        p.add_argument("--decay-exp", dest="decay_exp", type=float, metavar="REAL")
-        p.add_argument("--roi-b", dest="roi_b", type=float, metavar="REAL", help="ROI side length")
-        p.add_argument("--local-pfa", dest="local_pfa", type=float, metavar="REAL")
-        p.add_argument("--system-pfa", dest="system_pfa", type=float, metavar="REAL")
-        p.add_argument("--likelihood-r", dest="likelihood_r", type=float, metavar="REAL")
-        p.add_argument("--trials", type=int, metavar="INT")
-        p.add_argument("--seed", type=int, metavar="UINT64")
-        p.add_argument("--threads", type=int, metavar="INT", help="accepted, no effect")
+        for key, (cast, _, flag, metavar, help_text) in _SETTINGS.items():
+            if flag is not None:
+                p.add_argument(flag, dest=key, type=cast, metavar=metavar, help=help_text)
 
     p_theory = sub.add_parser("theory", help="print closed-form operating characteristics")
     add_common(p_theory)

@@ -18,6 +18,7 @@ corner distance sqrt(2)*b/2 and weights it by the leftover area fraction
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -133,19 +134,23 @@ def system_threshold(n: int, local_pfa: float, system_pfa: float) -> float:
         raise ValueError(f"system_pfa must be in (0, 1), got {system_pfa!r}")
     t = q_inverse(system_pfa) * math.sqrt(n * local_pfa * (1.0 - local_pfa)) + n * local_pfa
     if t <= 0.0:
-        warnings.warn(
+        message = (
             f"count threshold T={t:.6g} is non-positive; every nonzero count "
-            "will be declared a detection",
-            RuntimeWarning,
-            stacklevel=2,
+            "will be declared a detection"
         )
     elif t >= n:
-        warnings.warn(
+        message = (
             f"count threshold T={t:.6g} is at or above the sensor count {n}; "
-            "a detection can never be declared",
-            RuntimeWarning,
-            stacklevel=2,
+            "a detection can never be declared"
         )
+    else:
+        return t
+    # Point the warning at the first caller outside this package, not at
+    # FusionConfig or the CLI that built the threshold on its behalf.
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
     return t
 
 
@@ -186,13 +191,17 @@ def theory_curves(
     corner_distance = math.sqrt(2.0) * half
     gamma = local_pd(det, model, corner_distance)
 
-    def hit_prob(r: float) -> float:
-        return q_function(det.tau - signal_amplitude(model, r))
+    def var_integrand(r: float) -> float:
+        # p * (1 - p) with the miss probability 1 - p taken from its own
+        # tail: near p = 1, 1 - p is rounding noise that no relative
+        # tolerance can resolve.
+        x = det.tau - signal_amplitude(model, r)
+        return q_function(x) * q_function(-x) * r
 
     disc_weight = 2.0 * math.pi / roi.side_b**2
-    i_pd = integrate(lambda r: hit_prob(r) * r, 0.0, half)
+    i_pd = integrate(lambda r: local_pd(det, model, r) * r, 0.0, half)
     pd_bar = disc_weight * i_pd + _CORNER_WEIGHT * gamma
-    i_var = integrate(lambda r: hit_prob(r) * (1.0 - hit_prob(r)) * r, 0.0, half)
+    i_var = integrate(var_integrand, 0.0, half)
     sigma_bar_sq = disc_weight * i_var + _CORNER_WEIGHT * gamma * (1.0 - gamma)
 
     denom = math.sqrt(n * sigma_bar_sq)

@@ -9,16 +9,19 @@ budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_EPS = math.ulp(1.0)
 
 # Q(x) saturates to 0 / 1 in double precision outside +-40, so this
 # bracket pins down q_inverse for every probability a double can hold.
 _BRACKET = 40.0
+
+# Error budget of integrate, relative to the first whole-interval
+# estimate, and the refinement depth at which it gives up.
+_RELATIVE_TOLERANCE = 1e-10
+_MAX_DEPTH = 40
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -31,25 +34,6 @@ class QuadratureConvergenceError(RuntimeError):
     def __init__(self, message: str, best_estimate: float):
         super().__init__(message)
         self.best_estimate = best_estimate
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance and refinement budget for :func:`integrate`."""
-
-    relative_tolerance: float = 1e-10
-    max_refinement_depth: int = 40
-
-    def __post_init__(self) -> None:
-        if not (self.relative_tolerance >= 100.0 * _EPS):
-            raise ValueError(
-                f"relative_tolerance must be at least {100.0 * _EPS:.3g}, "
-                f"got {self.relative_tolerance!r}"
-            )
-        if not 1 <= self.max_refinement_depth <= 60:
-            raise ValueError(
-                f"max_refinement_depth must be in [1, 60], got {self.max_refinement_depth!r}"
-            )
 
 
 def q_function(x: float) -> float:
@@ -100,27 +84,20 @@ def q_inverse(p: float) -> float:
     return x
 
 
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec | None = None,
-) -> float:
+def integrate(f: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive Simpson quadrature of ``f`` over ``[a, b]``.
 
     Each subinterval is accepted when doubling its refinement changes the
     Simpson estimate by no more than 15x its share of the error budget
     (the factor 15 comes from the Richardson error model, and the
     correction term ``delta / 15`` is folded into the result). The budget
-    is ``spec.relative_tolerance`` scaled by the first whole-interval
+    is a relative tolerance of 1e-10 scaled by the first whole-interval
     estimate, so the tolerance is relative to the integral's magnitude;
     integrals that cancel to ~0 may exhaust the depth instead.
 
     Raises :class:`QuadratureConvergenceError` when some subinterval
-    still fails its test at ``spec.max_refinement_depth``.
+    still fails its test at refinement depth 40.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -140,7 +117,7 @@ def integrate(
     m = 0.5 * (a + b)
     fm = eval_f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    eps = spec.relative_tolerance * abs(whole)
+    eps = _RELATIVE_TOLERANCE * abs(whole)
 
     # Explicit stack instead of recursion: depth exhaustion in one
     # subinterval must still yield a best estimate for the whole integral.
@@ -157,7 +134,7 @@ def integrate(
         delta = left + right - s0
         if abs(delta) <= 15.0 * eps0:
             total += left + right + delta / 15.0
-        elif depth >= spec.max_refinement_depth:
+        elif depth >= _MAX_DEPTH:
             total += left + right + delta / 15.0
             exhausted = True
         else:
@@ -165,7 +142,7 @@ def integrate(
             stack.append((m0, fm0, rm, frm, b0, fb0, right, 0.5 * eps0, depth + 1))
     if exhausted:
         raise QuadratureConvergenceError(
-            f"quadrature did not converge within depth {spec.max_refinement_depth} "
+            f"quadrature did not converge within depth {_MAX_DEPTH} "
             f"(best estimate {total!r})",
             best_estimate=total,
         )

@@ -123,6 +123,21 @@ def test_theory_savings_defined_for_degenerate_thresholds(capsys, args, n, expec
     assert all(0.0 <= float(table[k]) <= n - 1 for k in keys)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--n-sensors", "100", "--p0", "3000", "--local-pfa", "0.05"],
+        ["--n-sensors", "100", "--p0", "30000", "--local-pfa", "0.05", "--decay-exp", "2.5"],
+    ],
+    ids=["p0-3000", "p0-30000-n2.5"],
+)
+def test_theory_strong_signal_converges(capsys, args):
+    # Nearly every sensor detects here; the variance quadrature used to
+    # exhaust its refinement depth on these (one after about 45 s).
+    table = run_theory_table(args, capsys)
+    assert 0.0 < float(table["sigma_bar_sq"]) <= 0.25
+
+
 def test_theory_csv_output(tmp_path, capsys):
     out = tmp_path / "theory.csv"
     assert main(["theory", "--n-sensors", "100", "--p0", "200", "--out", str(out)]) == 0

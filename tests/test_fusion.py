@@ -1,6 +1,7 @@
 """Tests for local detectors, counting-rule fusion, and operating curves."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,18 @@ def test_system_threshold_degenerate_warnings():
         assert system_threshold(50, 0.9, 1e-3) >= 50
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: system_threshold(10, 1e-6, 0.9), lambda: FusionConfig(10, 1e-6, 0.9)],
+    ids=["system_threshold", "FusionConfig"],
+)
+def test_degenerate_threshold_warning_names_the_caller(build):
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        build()
+    assert rec[0].filename == __file__
+
+
 def test_system_pfa_at_mean_is_half():
     assert system_pfa_approx(100, 1e-3, 100 * 1e-3) == pytest.approx(0.5, abs=1e-12)
 
@@ -261,3 +274,28 @@ def test_theory_variance_capped():
     model = SignalModel(p0=3.0, alpha=0.02)
     curves = theory_curves(det, model, RoiConfig(side_b=100.0), 100, 45.0)
     assert 0.0 <= curves.sigma_bar_sq <= 0.25
+
+
+@pytest.mark.parametrize("n_exp", [2.0, 2.5, 3.0])
+@pytest.mark.parametrize("local_pfa", [1e-3, 0.05])
+@pytest.mark.parametrize("p0", [3000.0, 10000.0, 30000.0, 100000.0])
+def test_theory_variance_for_strong_signals(p0, local_pfa, n_exp):
+    # Near-certain local detections, where 1 - p is rounding noise. The
+    # disc integral of p * (1 - p) * r, by a fine midpoint rule with the
+    # miss probability from its own tail, is the reference.
+    det = threshold_from_local_pfa(local_pfa)
+    model = SignalModel(p0=p0, alpha=0.02, n_exp=n_exp)
+    roi = RoiConfig(side_b=100.0)
+    curves = theory_curves(det, model, roi, 100, 1.0)
+
+    m = 20_000
+    h = roi.half_side / m
+    i_var = 0.0
+    for j in range(m):
+        r = (j + 0.5) * h
+        x = (det.tau - math.sqrt(p0 / (1.0 + 0.02 * r**n_exp))) / math.sqrt(2.0)
+        i_var += 0.25 * math.erfc(x) * math.erfc(-x) * r * h
+    corner = (1.0 - math.pi / 4.0) * curves.gamma * (1.0 - curves.gamma)
+    expected = 2.0 * math.pi / roi.side_b**2 * i_var + corner
+    assert 0.0 <= curves.sigma_bar_sq <= 0.25
+    assert curves.sigma_bar_sq == pytest.approx(expected, rel=1e-4)

@@ -6,13 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orderfuse.statmath import (
-    QuadratureConvergenceError,
-    QuadratureSpec,
-    integrate,
-    q_function,
-    q_inverse,
-)
+from orderfuse import statmath
+from orderfuse.statmath import QuadratureConvergenceError, integrate, q_function, q_inverse
 
 SQRT2 = math.sqrt(2.0)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -174,7 +169,7 @@ def test_integrate_is_linear(c1, c2):
     g = lambda t: t * t  # noqa: E731
     combo = integrate(lambda t: c1 * f(t) + c2 * g(t), 0.0, 2.0)
     parts = c1 * integrate(f, 0.0, 2.0) + c2 * integrate(g, 0.0, 2.0)
-    tol = 10 * QuadratureSpec().relative_tolerance
+    tol = 10 * statmath._RELATIVE_TOLERANCE
     assert combo == pytest.approx(parts, rel=tol, abs=tol)
 
 
@@ -193,18 +188,18 @@ def test_integrate_rejects_non_finite_integrand():
 
 
 def test_integrate_depth_exhaustion_carries_best_estimate():
-    # A kink needs more refinement than a depth-1 budget allows.
-    spec = QuadratureSpec(relative_tolerance=1e-10, max_refinement_depth=1)
+    # No Simpson refinement resolves a jump, so the subinterval holding it
+    # fails its test down to the depth limit.
+    step = 0.3141592653589793
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0 if t > step else 0.0
+
     with pytest.raises(QuadratureConvergenceError) as excinfo:
-        integrate(lambda t: abs(t - 0.3141592653589793), 0.0, 1.0, spec)
-    exact = 0.3141592653589793**2 / 2 + (1 - 0.3141592653589793) ** 2 / 2
-    assert excinfo.value.best_estimate == pytest.approx(exact, rel=1e-2)
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(relative_tolerance=1e-16)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_refinement_depth=61)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_refinement_depth=0)
+        integrate(f, 0.0, 1.0)
+    # 3 starting nodes, then 2 per subinterval: 1 at depth 0 and 2 at
+    # each of depths 1 to 40, the fixed limit.
+    assert len(calls) == 165
+    assert excinfo.value.best_estimate == pytest.approx(1.0 - step, abs=2e-13)
