@@ -15,6 +15,7 @@ import argparse
 import math
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -305,10 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building one costs ten times a parse, and
+# argparse keeps no state between parse_args calls.
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has already printed the usage message.
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

@@ -113,6 +113,14 @@ def signal_amplitude(model: SignalModel, d):
 
     Accepts a scalar or an array of distances.
     """
+    if isinstance(d, float) and model.n_exp == 2.0:
+        # Scalar fast path for the quadrature: numpy's power(d, 2.0) is
+        # d * d and math.sqrt rounds as np.sqrt does, so the bits agree.
+        # Other exponents keep the array path: libm pow differs from
+        # numpy's power in the last bit.
+        if d < 0:
+            raise ValueError("distance must be nonnegative")
+        return math.sqrt(model.p0 / (1.0 + model.alpha * (d * d)))
     d_arr = np.asarray(d, dtype=float)
     if np.any(d_arr < 0):
         raise ValueError("distance must be nonnegative")

@@ -188,8 +188,10 @@ def theory_curves(
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     half = roi.half_side
-    corner_distance = math.sqrt(2.0) * half
-    gamma = local_pd(det, model, corner_distance)
+    # Detection rate at the worst corner, and its miss rate from its own
+    # tail, as in var_integrand.
+    x_corner = det.tau - signal_amplitude(model, math.sqrt(2.0) * half)
+    gamma = q_function(x_corner)
 
     def var_integrand(r: float) -> float:
         # p * (1 - p) with the miss probability 1 - p taken from its own
@@ -202,7 +204,7 @@ def theory_curves(
     i_pd = integrate(lambda r: local_pd(det, model, r) * r, 0.0, half)
     pd_bar = disc_weight * i_pd + _CORNER_WEIGHT * gamma
     i_var = integrate(var_integrand, 0.0, half)
-    sigma_bar_sq = disc_weight * i_var + _CORNER_WEIGHT * gamma * (1.0 - gamma)
+    sigma_bar_sq = disc_weight * i_var + _CORNER_WEIGHT * gamma * q_function(-x_corner)
 
     denom = math.sqrt(n * sigma_bar_sq)
     if denom > 0.0:

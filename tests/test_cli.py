@@ -6,7 +6,7 @@ import platform
 import numpy as np
 import pytest
 
-from orderfuse.cli import CSV_COLUMNS, main
+from orderfuse.cli import CSV_COLUMNS, build_parser, main
 
 # Frozen golden output for a fixed tiny run (seed 42, 50 trials). Any
 # schema or determinism regression shows up as a byte-level diff here.
@@ -145,6 +145,104 @@ def test_theory_csv_output(tmp_path, capsys):
     assert lines[0] == "quantity,value"
     assert any(line.startswith("system_threshold_t,") for line in lines)
     assert (tmp_path / "theory.csv.manifest").exists()
+
+
+# Frozen `theory --out` values, one line per configuration, in the row
+# order of THEORY_QUANTITIES. They pin the quadrature to 9 significant
+# digits across sensor counts, decay exponents and powers.
+THEORY_QUANTITIES = (
+    "n_sensors p0 alpha n_exp roi_b local_pfa system_pfa likelihood_r tau "
+    "system_threshold_t gamma pd_bar sigma_bar_sq theory_pfa theory_pd "
+    "ants_upper_case_bound ants_lower_case_bound ants_combined_bound"
+).split()
+GOLDEN_THEORY = {
+    ("20", "2", "200", "0.05"):
+        "20 200 0.02 2 100 0.05 0.001 0.5 1.64485363 4.01198588 0.406072972 "
+        "0.75794011 0.137229114 0.001 1 7.5 2 9.5",
+    ("20", "3", "1000", "0.001"):
+        "20 1000 0.02 3 100 0.001 0.001 0.5 3.09023231 0.456806277 0.00332181636 "
+        "0.120209424 0.0378678704 0.001 0.987379502 9.5 0 9.5",
+    ("100", "2", "0", "0.001"):
+        "100 0 0.02 2 100 0.001 0.001 0.5 3.09023231 1.07672853 0.001 "
+        "0.001 0.000999 0.001 0.001 49 0.5 49.5",
+    ("100", "2.5", "1000", "0.05"):
+        "100 1000 0.02 2.5 100 0.05 0.001 0.5 1.64485363 11.7350052 0.289449472 "
+        "0.694809652 0.144260364 0.001 1 44 5.5 49.5",
+    ("1000", "2.5", "200", "0.001"):
+        "1000 200 0.02 2.5 100 0.001 0.001 0.5 3.09023231 4.0886868 0.00462286041 "
+        "0.110097486 0.0425335877 0.001 1 497.5 2 499.5",
+    ("1000", "3", "0", "0.05"):
+        "1000 0 0.02 3 100 0.05 0.001 0.5 1.64485363 71.2979564 0.05 "
+        "0.05 0.0475 0.001 0.001 464 35.5 499.5",
+}
+
+
+@pytest.mark.parametrize("n, n_exp, p0, local_pfa", list(GOLDEN_THEORY), ids="-".join)
+def test_theory_golden_bytes(tmp_path, n, n_exp, p0, local_pfa):
+    out = tmp_path / "theory.csv"
+    argv = ["theory", "--n-sensors", n, "--decay-exp", n_exp, "--p0", p0,
+            "--local-pfa", local_pfa, "--out", str(out)]
+    assert main(argv) == 0
+    values = GOLDEN_THEORY[n, n_exp, p0, local_pfa].split()
+    rows = "".join(f"{k},{v}\n" for k, v in zip(THEORY_QUANTITIES, values, strict=True))
+    expected = "quantity,value\n" + rows
+    assert out.read_bytes() == expected.encode()
+
+
+# ── one parser per process ──────────────────────────────────────────
+
+
+def main_help(argv, capsys) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def fresh_parser_help(argv, capsys) -> str:
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    return capsys.readouterr().out
+
+
+def test_repeated_calls_write_identical_bytes(tmp_path):
+    written = []
+    for i in range(2):
+        theory_out, sim_out = tmp_path / f"t{i}.csv", tmp_path / f"s{i}.csv"
+        assert main(["theory", "--n-sensors", "100", "--p0", "200", "--out", str(theory_out)]) == 0
+        assert main(["simulate", *GOLDEN_ARGS, "--out", str(sim_out)]) == 0
+        written.append((theory_out.read_bytes(), sim_out.read_text()))
+    assert written[0] == written[1]
+    assert written[0][1] == GOLDEN_CSV
+
+
+def test_usage_error_then_valid_call(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--n-sensors", "ten", "--out", str(out)]) == 2
+    assert "--n-sensors" in capsys.readouterr().err
+    assert main(["simulate", *GOLDEN_ARGS, "--out", str(out)]) == 0
+    assert out.read_text() == GOLDEN_CSV
+
+
+def test_help_after_run_matches_fresh_parser(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    assert main(["simulate", *GOLDEN_ARGS, "--out", str(tmp_path / "run.csv")]) == 0
+    capsys.readouterr()
+    reused = main_help(["simulate", "--help"], capsys)
+    assert reused == fresh_parser_help(["simulate", "--help"], capsys)
+    assert "--n-sensors" in reused
+
+
+def test_help_wraps_to_columns_set_after_first_call(capsys, monkeypatch):
+    # argparse reads the width when it formats help, not when the cached
+    # parser was built.
+    assert main(["theory", "--n-sensors", "100", "--p0", "200"]) == 0
+    capsys.readouterr()
+    widths = {}
+    for columns in ("40", "160"):
+        monkeypatch.setenv("COLUMNS", columns)
+        reused = main_help(["theory", "--help"], capsys)
+        assert reused == fresh_parser_help(["theory", "--help"], capsys)
+        widths[columns] = max(len(line) for line in reused.splitlines())
+    assert widths["40"] < widths["160"]
 
 
 # ── error handling / exit codes ─────────────────────────────────────

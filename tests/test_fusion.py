@@ -281,8 +281,9 @@ def test_theory_variance_capped():
 @pytest.mark.parametrize("p0", [3000.0, 10000.0, 30000.0, 100000.0])
 def test_theory_variance_for_strong_signals(p0, local_pfa, n_exp):
     # Near-certain local detections, where 1 - p is rounding noise. The
-    # disc integral of p * (1 - p) * r, by a fine midpoint rule with the
-    # miss probability from its own tail, is the reference.
+    # disc integral of p * (1 - p) * r, by a fine midpoint rule, plus the
+    # corner term, both with the miss probability from its own tail, is
+    # the reference. No absolute slack: sigma_bar_sq can be far below 1e-12.
     det = threshold_from_local_pfa(local_pfa)
     model = SignalModel(p0=p0, alpha=0.02, n_exp=n_exp)
     roi = RoiConfig(side_b=100.0)
@@ -295,7 +296,24 @@ def test_theory_variance_for_strong_signals(p0, local_pfa, n_exp):
         r = (j + 0.5) * h
         x = (det.tau - math.sqrt(p0 / (1.0 + 0.02 * r**n_exp))) / math.sqrt(2.0)
         i_var += 0.25 * math.erfc(x) * math.erfc(-x) * r * h
-    corner = (1.0 - math.pi / 4.0) * curves.gamma * (1.0 - curves.gamma)
+    corner_d = math.sqrt(2.0) * roi.half_side
+    x = (det.tau - math.sqrt(p0 / (1.0 + 0.02 * corner_d**n_exp))) / math.sqrt(2.0)
+    corner = (1.0 - math.pi / 4.0) * 0.25 * math.erfc(x) * math.erfc(-x)
     expected = 2.0 * math.pi / roi.side_b**2 * i_var + corner
     assert 0.0 <= curves.sigma_bar_sq <= 0.25
-    assert curves.sigma_bar_sq == pytest.approx(expected, rel=1e-4)
+    assert curves.sigma_bar_sq == pytest.approx(expected, rel=1e-4, abs=0.0)
+
+
+@pytest.mark.parametrize("local_pfa", [1e-3, 0.05])
+@pytest.mark.parametrize("p0", [1e4, 3e4, 1e5])
+def test_theory_corner_variance_from_its_own_tail(p0, local_pfa):
+    # The corner detection rate is within 1e-11 of 1 here, so 1 - gamma by
+    # subtraction keeps few or no digits. The disc term is below 1e-16 of the
+    # corner's, so sigma_bar_sq is the corner term: the miss probability
+    # Q(a - tau) at the corner distance sqrt(2) * b / 2, from erfc.
+    det = threshold_from_local_pfa(local_pfa)
+    model = SignalModel(p0=p0, alpha=0.02, n_exp=2.0)
+    curves = theory_curves(det, model, RoiConfig(side_b=100.0), 20, 1.0)
+    miss = 0.5 * math.erfc((math.sqrt(p0 / (1.0 + 0.02 * 5000.0)) - det.tau) / math.sqrt(2.0))
+    assert curves.sigma_bar_sq > 0.0
+    assert curves.sigma_bar_sq == pytest.approx((1.0 - math.pi / 4.0) * miss, rel=1e-9, abs=0.0)
