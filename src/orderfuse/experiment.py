@@ -118,18 +118,21 @@ class _TrialStream:
         self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         self._gen = np.random.Generator(self._bitgen)
         self._key = np.zeros(2, dtype=np.uint64)
+        self._counter = np.zeros(4, dtype=np.uint64)
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
+            "state": {"counter": self._counter, "key": self._key},
             "buffer": np.zeros(4, dtype=np.uint64),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
 
-    def generator(self, master_seed: int, trial_index: int) -> np.random.Generator:
+    def generator(self, master_seed: int, trial_index: int, block: int = 0) -> np.random.Generator:
+        """The trial's stream at output 4 * ``block`` (Philox fills 4 outputs per counter step)."""
         self._key[0] = master_seed
         self._key[1] = trial_index
+        self._counter[0] = block
         self._bitgen.state = self._state
         return self._gen
 
@@ -137,83 +140,119 @@ class _TrialStream:
 _fusion_for = lru_cache(maxsize=128)(FusionConfig)
 
 
-# Trials per chunk times sensors. Larger chunks run no faster and raise
-# peak memory.
-_CHUNK_ELEMENTS = 1 << 13
+# Trials per chunk times sensors. The arrays live for the whole run, so a
+# larger chunk costs memory, not page faults between chunks: 2^13 ran 4-7 %
+# slower at N = 100 and 1000; 2^15 ran 2 % slower at N = 20, with twice the arrays.
+_CHUNK_ELEMENTS = 1 << 14
+_REPLAY_ELEMENTS = 1 << 13  # replay stride times sensors, whatever the chunk
+# From this N up H0 trials jump over their positions; whole runs broke even here at r = 0.5.
+_SKIP_FROM_N = 256
 
 
 def _chunk_size(n_sensors: int) -> int:
     return max(1, _CHUNK_ELEMENTS // n_sensors)
 
 
+class _RunState:
+    """What the chunks of one run share; each chunk of up to ``b`` trials fills the arrays in place.
+
+    Arrays freed after every chunk let glibc trim the heap and fault it
+    back in. The arrays are views of one block, whose release raises
+    glibc's trim threshold above it, so the next run reuses its pages
+    too. A one-trial run (``b`` = 1) is always replayed.
+    """
+
+    def __init__(self, n: int, b: int) -> None:
+        self.stream = _TrialStream()
+        self.replay_stride = max(1, min(b, _REPLAY_ELEMENTS // n))
+        mem = np.empty(b * (6 * n + 1))
+        self.u = mem[: b * (1 + 2 * n)].reshape(b, 1 + 2 * n)
+        self.noise, *ints = mem[b * (1 + 2 * n) :].reshape(4, b, n)
+        self.bits, self.ordered, self.counts = (a.view(np.int64) for a in ints)
+        self.h1 = np.empty(b, dtype=bool)
+        self.skip_block, rest = divmod(1 + 2 * n, 4)
+        self.skipped = np.empty(rest)
+
+
 def _draw_chunk(
-    config: ExperimentConfig, stream: _TrialStream, start: int, stop: int
+    config: ExperimentConfig, run: _RunState, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Which of trials ``start .. stop - 1`` drew H1, and their observations.
 
-    Each trial still draws from its own keyed stream, in the layout
-    :func:`run_trial` documents: one ``random`` call covers the
-    hypothesis draw and the positions (numpy's ``uniform(low, high)`` is
-    ``low + (high - low) * random()``), then the noise.
+    Each trial draws from its own keyed stream in the layout of
+    :func:`run_trial`; numpy's ``uniform(low, high)`` is
+    ``low + (high - low) * random()``. From ``_SKIP_FROM_N`` up an H0
+    trial re-keys at the Philox block holding output 1 + 2N and discards
+    the outputs before it, so its noise is the same, and H1 positions fill
+    the leading rows of ``run.u``. The results are views into ``run``.
     """
-    n, roi = config.n_sensors, config.roi
-    u = np.empty((stop - start, 1 + 2 * n))
-    noise = np.empty((stop - start, n))
-    for j, i in enumerate(range(start, stop)):
-        g = stream.generator(config.master_seed, i)
-        g.random(out=u[j])
-        g.standard_normal(out=noise[j])
+    n, roi, r, seed = config.n_sensors, config.roi, config.likelihood_r, config.master_seed
+    stream, u, noise, h1 = run.stream, run.u, run.noise[: stop - start], run.h1[: stop - start]
+    if n < _SKIP_FROM_N:
+        for j, i in enumerate(range(start, stop)):
+            g = stream.generator(seed, i)
+            g.random(out=u[j])
+            g.standard_normal(out=noise[j])
+        np.less(u[: stop - start, 0], r, out=h1)
+        rows = np.flatnonzero(h1)
+        positions = u[rows, 1:]
+    else:
+        k = 0
+        for j, i in enumerate(range(start, stop)):
+            g = stream.generator(seed, i)
+            h1[j] = hit = g.random() < r
+            if hit:
+                g.random(out=u[k, 1:])
+                k += 1
+            else:
+                stream.generator(seed, i, run.skip_block).random(out=run.skipped)
+            g.standard_normal(out=noise[j])
+        rows, positions = np.flatnonzero(h1), u[:k, 1:]
 
-    h1 = u[:, 0] < config.likelihood_r
-    # Only H1 rows carry the signal; H0 rows drew their positions above
-    # only to keep the stream layout.
-    rows = np.flatnonzero(h1)
+    # Only H1 rows carry the signal.
     low, high = -roi.half_side, roi.half_side
-    positions = low + (high - low) * u[rows, 1:]
-    d = np.hypot(positions[:, 0::2] - roi.target_x, positions[:, 1::2] - roi.target_y)
-    noise[rows] += signal_amplitude(config.model, d)
+    positions *= high - low
+    positions += low
+    xs, ys = positions[:, 0::2], positions[:, 1::2]
+    xs -= roi.target_x
+    ys -= roi.target_y
+    noise[rows] += signal_amplitude(config.model, np.hypot(xs, ys))
     return h1, noise
 
 
 def _run_chunk(
-    config: ExperimentConfig,
-    fusion: FusionConfig,
-    stream: _TrialStream,
-    start: int,
-    stop: int,
+    config: ExperimentConfig, fusion: FusionConfig, run: _RunState, start: int, stop: int
 ) -> tuple[np.ndarray, StopBatch]:
     """Run trials ``start .. stop - 1`` as arrays, audited trial by trial.
 
-    Returns which trials drew H1 and how each run stopped, one row each.
-
-    The draw buffers die with :func:`_draw_chunk`, before the ordering
-    allocates its own, so a chunk peaks near 450 KiB instead of 600. At
-    600, glibc's malloc could trim the freed heap after every chunk and
-    page-fault it back in for the next: about 17k faults per 1000 trials
-    at N = 1000, against about 70 now.
+    Returns which trials drew H1 (a view into ``run``) and how each run
+    stopped, one row each. Trials whose index is a multiple of
+    ``run.replay_stride`` are replayed through the scalar scan.
     """
-    n = config.n_sensors
-    h1, z = _draw_chunk(config, stream, start, stop)
+    n, m = config.n_sensors, stop - start
+    h1, z = _draw_chunk(config, run, start, stop)
 
     t = fusion.system_threshold_t
-    bits = local_decisions(z, fusion.detector)
-    ordered = ordered_bits(z, fusion.detector.tau, bits)
-    stops = stop_batch(ordered, t)
+    bits = local_decisions(z, fusion.detector, out=run.bits[:m])
+    ordered = ordered_bits(z, fusion.detector.tau, bits, out=run.ordered[:m])
+    stops = stop_batch(ordered, t, out=run.counts[:m])
 
     diverged = np.flatnonzero(stops.decision_h1 != (bits.sum(axis=1) > t))
     if diverged.size:
         raise RuntimeError(
             f"early-stop decision diverged from the full count at trial {start + diverged[0]}"
         )
-    # Replay the chunk's first trial through the scalar scan.
-    ref = run_ordered_counting(ordered[0], n, t)
-    if (ref.k_transmitted, ref.crossing, ref.decision is Hypothesis.H1, ref.partial_sum) != (
-        stops.k_transmitted[0],
-        CROSSINGS[stops.crossing[0]],
-        stops.decision_h1[0],
-        stops.partial_sum[0],
-    ):
-        raise RuntimeError(f"batched stop scan diverged from the scalar scan at trial {start}")
+    stride = run.replay_stride
+    for i in range(-(-start // stride) * stride, stop, stride):
+        j = i - start
+        ref = run_ordered_counting(ordered[j], n, t)
+        if (ref.k_transmitted, ref.crossing, ref.decision is Hypothesis.H1, ref.partial_sum) != (
+            stops.k_transmitted[j],
+            CROSSINGS[stops.crossing[j]],
+            stops.decision_h1[j],
+            stops.partial_sum[j],
+        ):
+            raise RuntimeError(f"batched stop scan diverged from the scalar scan at trial {i}")
     return h1, stops
 
 
@@ -222,13 +261,14 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
 
     Stream layout (fixed so records are replayable individually): the
     hypothesis draw comes first, then sensor positions, then noise. H0
-    trials sample a field too, keeping stream offsets identical across
-    hypotheses.
+    trials keep the positions' place in the stream, so noise offsets are
+    identical across hypotheses.
     """
     if not 0 <= trial_index < config.n_trials:
         raise ValueError(f"trial_index {trial_index!r} outside [0, {config.n_trials})")
-    fusion = _fusion_for(config.n_sensors, config.local_pfa, config.system_pfa)
-    h1, stops = _run_chunk(config, fusion, _TrialStream(), trial_index, trial_index + 1)
+    n = config.n_sensors
+    fusion = _fusion_for(n, config.local_pfa, config.system_pfa)
+    h1, stops = _run_chunk(config, fusion, _RunState(n, 1), trial_index, trial_index + 1)
     k = int(stops.k_transmitted[0])
     return TrialRecord(
         trial_index=trial_index,
@@ -239,19 +279,19 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
             crossing=CROSSINGS[stops.crossing[0]],
             partial_sum=int(stops.partial_sum[0]),
         ),
-        transmissions_saved=config.n_sensors - k,
+        transmissions_saved=n - k,
     )
 
 
 def monte_carlo(config: ExperimentConfig) -> AntsSummary:
     """Run all trials chunk by chunk and aggregate in exact integers."""
     fusion = _fusion_for(config.n_sensors, config.local_pfa, config.system_pfa)
-    stream = _TrialStream()
     n, b = config.n_trials, _chunk_size(config.n_sensors)
+    run = _RunState(config.n_sensors, min(b, n))
     saved_sum = saved_sq = h1_n = h1_hits = h0_hits = 0
     crossings = [0, 0, 0]
     for start in range(0, n, b):
-        h1, stops = _run_chunk(config, fusion, stream, start, min(start + b, n))
+        h1, stops = _run_chunk(config, fusion, run, start, min(start + b, n))
         saved = config.n_sensors - stops.k_transmitted
         saved_sum += int(saved.sum())
         saved_sq += int((saved * saved).sum())

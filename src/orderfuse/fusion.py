@@ -101,9 +101,13 @@ def local_pd(det: LocalDetector, model: SignalModel, d: float) -> float:
     return q_function(det.tau - signal_amplitude(model, float(d)))
 
 
-def local_decisions(z, det: LocalDetector) -> np.ndarray:
-    """One-bit local decisions; the tie z == tau decides 0 (open upper tail)."""
-    return (np.asarray(z, dtype=float) > det.tau).astype(np.int64)
+def local_decisions(z, det: LocalDetector, out: np.ndarray | None = None) -> np.ndarray:
+    """One-bit local decisions; the tie z == tau decides 0 (open upper tail).
+
+    ``out``, an int64 array shaped like ``z``, receives the bits.
+    """
+    z = np.asarray(z, dtype=float)
+    return (z > det.tau).astype(np.int64) if out is None else np.greater(z, det.tau, out=out)
 
 
 def counting_rule(decisions, t: float) -> Hypothesis:

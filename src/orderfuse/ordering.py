@@ -78,10 +78,10 @@ class AntsBounds:
     likelihood_r: float
 
 
-def _transmit_times(z: np.ndarray, tau: float) -> np.ndarray:
+def _transmit_times(z: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.ndarray:
     """1/|z - tau| elementwise: positive doubles, ``inf`` for a zero gap."""
     with np.errstate(divide="ignore", over="ignore"):
-        return 1.0 / np.abs(z - tau)
+        return np.divide(1.0, np.abs(np.subtract(z, tau, out=out), out=out), out=out)
 
 
 def schedule(observations: ObservationVector, det: LocalDetector) -> np.ndarray:
@@ -163,7 +163,9 @@ def arrival_order(z: np.ndarray, tau: float) -> np.ndarray:
     return np.argsort(_transmit_times(z, tau), axis=-1, kind="stable")
 
 
-def ordered_bits(z: np.ndarray, tau: float, bits: np.ndarray) -> np.ndarray:
+def ordered_bits(
+    z: np.ndarray, tau: float, bits: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Each row of int64 0/1 ``bits`` in the arrival order of that row of ``z``.
 
     Equal to ``np.take_along_axis(bits, arrival_order(z, tau), axis=1)``.
@@ -172,9 +174,12 @@ def ordered_bits(z: np.ndarray, tau: float, bits: np.ndarray) -> np.ndarray:
     sort of ``time << 1 | bit`` yields the ordered bits in the low bit.
     A row holding two equal times is redone with :func:`arrival_order`,
     which keeps the stable rule (equal times go in index order).
+    ``out``, a C-contiguous int64 array shaped like ``z``, holds the keys
+    and then the result.
     """
-    times = _transmit_times(z, tau)
-    key = times.view(np.uint64) << np.uint64(1)
+    times = _transmit_times(z, tau, None if out is None else out.view(np.float64))
+    key = times.view(np.uint64)
+    key <<= np.uint64(1)
     key |= bits.view(np.uint64)
     key.sort(axis=1)
     ranked = key >> np.uint64(1)
@@ -186,13 +191,14 @@ def ordered_bits(z: np.ndarray, tau: float, bits: np.ndarray) -> np.ndarray:
     return ordered
 
 
-def stop_batch(ordered_decisions: np.ndarray, t: float) -> StopBatch:
+def stop_batch(ordered_decisions: np.ndarray, t: float, out: np.ndarray | None = None) -> StopBatch:
     """:func:`run_ordered_counting` on every row of a (runs, n) bit matrix.
 
     The caller guarantees 0/1 integer bits; nothing is re-checked.
+    ``out``, an int64 array of the same shape, receives the running counts.
     """
     n = ordered_decisions.shape[1]
-    counts = np.cumsum(ordered_decisions, axis=1)
+    counts = np.cumsum(ordered_decisions, axis=1, out=out)
     upper = counts > t
     fired = upper | (counts < t - (n - np.arange(1, n + 1)))
     idx = np.argmax(fired, axis=1)

@@ -1,15 +1,22 @@
 """Tests for the Monte Carlo harness: determinism, aggregation, sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from orderfuse import experiment
 from orderfuse.experiment import (
+    _SKIP_FROM_N,
     AntsSummary,
     ExperimentConfig,
     TrialRecord,
     _chunk_size,
+    _RunState,
+    _TrialStream,
     cell_seed,
     monte_carlo,
     run_trial,
@@ -66,8 +73,6 @@ def test_trial_rng_is_keyed_and_reproducible():
 
 
 def test_internal_stream_matches_public_trial_rng():
-    from orderfuse.experiment import _TrialStream
-
     stream = _TrialStream()
     for master, idx in ((0, 0), (123456789, 42), ((1 << 64) - 1, 99_999)):
         expected = trial_rng(master, idx)
@@ -75,6 +80,31 @@ def test_internal_stream_matches_public_trial_rng():
         assert got.random() == expected.random()
         assert np.array_equal(got.standard_normal(16), expected.standard_normal(16))
         assert np.array_equal(got.uniform(-1, 1, 8), expected.uniform(-1, 1, 8))
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    trial=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 2 * _SKIP_FROM_N),
+)
+@settings(max_examples=60, deadline=None)
+@example(seed=0, trial=0, n=_SKIP_FROM_N - 1)  # (1 + 2N) % 4 == 3 for even crossover
+@example(seed=0, trial=0, n=_SKIP_FROM_N)  # (1 + 2N) % 4 == 1
+@example(seed=2**64 - 1, trial=2**64 - 1, n=_SKIP_FROM_N + 1)
+@example(seed=2**64 - 1, trial=7, n=_SKIP_FROM_N + 2)
+def test_counter_jump_reaches_the_noise_bit_for_bit(seed, trial, n):
+    # An H0 trial reads its hypothesis, then jumps over its 2N position
+    # draws; its noise must be the full layout's, bit for bit.
+    run = _RunState(n, 1)
+    assert (1 + 2 * n) % 4 in (1, 3) and run.skipped.size == (1 + 2 * n) % 4
+    got = run.stream.generator(seed, trial)
+    hypothesis = got.random()
+    # The same generator, re-keyed at the block holding output 1 + 2N.
+    run.stream.generator(seed, trial, run.skip_block).random(out=run.skipped)
+    full = trial_rng(seed, trial)
+    assert full.random() == hypothesis
+    full.random(2 * n)
+    assert got.standard_normal(n).tobytes() == full.standard_normal(n).tobytes()
 
 
 def test_run_trial_deterministic():
@@ -216,7 +246,9 @@ def reference_summary(records: list[TrialRecord]) -> AntsSummary:
     [
         pytest.param(n, r, id=str(n) if r == 0.5 else f"{n}-r{r:g}")
         for r in (0.5, 0.0, 1.0)
-        for n in (1, 7, 20, 100, 1000)
+        # Around the crossover where H0 trials start to jump over their
+        # positions, and an odd N above it.
+        for n in (1, 7, 20, 100, 1000, _SKIP_FROM_N - 1, _SKIP_FROM_N, (_SKIP_FROM_N + 1) | 1)
     ],
 )
 def test_chunked_kernel_equals_per_trial_pipeline(n_sensors, likelihood_r):
@@ -242,6 +274,56 @@ def test_chunked_kernel_equals_per_trial_pipeline(n_sensors, likelihood_r):
     assert monte_carlo(config) == expected
     for i, record in enumerate(records):
         assert run_trial(config, i) == record
+
+
+@pytest.mark.parametrize("n_sensors", [20, 100, 1000])
+def test_scalar_replay_covers_every_multiple_of_the_old_chunk(n_sensors, monkeypatch):
+    # The scalar replay checks trial i when i is a multiple of
+    # max(1, 2^13 // N), the first trial of each chunk when chunks held
+    # 2^13 elements; a larger chunk must not thin it.
+    stride = max(1, (1 << 13) // n_sensors)
+    config = make_config(
+        n_sensors=n_sensors,
+        model=SignalModel(p0=20.0, alpha=0.02, n_exp=2.0),
+        local_pfa=0.05,
+        system_pfa=0.1,
+        n_trials=2 * _chunk_size(n_sensors) + 3,
+    )
+    assert config.n_trials % _chunk_size(n_sensors) == 3
+    replayed = []
+    real = experiment.run_ordered_counting
+
+    def recording(ordered, n, t):
+        replayed.append(np.array(ordered))
+        return real(ordered, n, t)
+
+    monkeypatch.setattr(experiment, "run_ordered_counting", recording)
+    monte_carlo(config)
+    fusion = FusionConfig(n_sensors, config.local_pfa, config.system_pfa)
+    expected = []
+    for i in range(0, config.n_trials, stride):
+        _, observations, bits = reference_draws(config, fusion, i)
+        expected.append(bits[schedule(observations, fusion.detector)])
+    assert len(replayed) == len(expected) == -(-config.n_trials // stride)
+    for got, want in zip(replayed, expected):
+        assert np.array_equal(got, want)
+
+
+def test_kernel_peak_memory_is_pinned():
+    # A 2,000-trial run at N = 1000 peaked at 1,132-1,163 KiB under
+    # tracemalloc (numpy 2.4, four seeds): one set of chunk arrays, about
+    # 750 KiB, plus the temporaries of the H1 geometry and the tie check.
+    # The bound leaves about 23 % for numpy versions that allocate more;
+    # a second set of chunk arrays, or a doubled chunk, exceeds it.
+    config = make_config(n_sensors=1000, model=SignalModel(p0=200.0, alpha=0.02), n_trials=2_000)
+    monte_carlo(config)
+    tracemalloc.start()
+    try:
+        monte_carlo(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_430 * 1024
 
 
 # ── sweep ───────────────────────────────────────────────────────────
