@@ -111,18 +111,21 @@ class _TrialStream:
     Produces streams bit-identical to :func:`trial_rng` while skipping
     the per-trial bit-generator construction (which pulls OS entropy it
     never uses). The state setter copies the prepared state, so one
-    state dict serves every trial. Not thread-safe.
+    state dict serves every trial. Its key, counter and buffer are lists
+    of Python ints: the setter reads all ten entries one at a time, and
+    a numpy ``uint64`` entry costs a scalar conversion each, which made
+    a re-key about 2.5x slower. Not thread-safe.
     """
 
     def __init__(self) -> None:
-        self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        self._gen = np.random.Generator(self._bitgen)
-        self._key = np.zeros(2, dtype=np.uint64)
-        self._counter = np.zeros(4, dtype=np.uint64)
-        self._state = {
+        self.bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        self.gen = np.random.Generator(self.bitgen)
+        self.key = [0, 0]
+        self.counter = [0, 0, 0, 0]
+        self.state = {
             "bit_generator": "Philox",
-            "state": {"counter": self._counter, "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": self.counter, "key": self.key},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
@@ -130,11 +133,11 @@ class _TrialStream:
 
     def generator(self, master_seed: int, trial_index: int, block: int = 0) -> np.random.Generator:
         """The trial's stream at output 4 * ``block`` (Philox fills 4 outputs per counter step)."""
-        self._key[0] = master_seed
-        self._key[1] = trial_index
-        self._counter[0] = block
-        self._bitgen.state = self._state
-        return self._gen
+        self.key[0] = master_seed
+        self.key[1] = trial_index
+        self.counter[0] = block
+        self.bitgen.state = self.state
+        return self.gen
 
 
 _fusion_for = lru_cache(maxsize=128)(FusionConfig)
@@ -188,25 +191,34 @@ def _draw_chunk(
     """
     n, roi, r, seed = config.n_sensors, config.roi, config.likelihood_r, config.master_seed
     stream, u, noise, h1 = run.stream, run.u, run.noise[: stop - start], run.h1[: stop - start]
+    bitgen, state, key, counter = stream.bitgen, stream.state, stream.key, stream.counter
+    random, standard_normal = stream.gen.random, stream.gen.standard_normal
+    key[0] = seed
     if n < _SKIP_FROM_N:
-        for j, i in enumerate(range(start, stop)):
-            g = stream.generator(seed, i)
-            g.random(out=u[j])
-            g.standard_normal(out=noise[j])
+        counter[0] = 0
+        for i, u_row, noise_row in zip(range(start, stop), u, noise):
+            key[1] = i
+            bitgen.state = state
+            random(out=u_row)
+            standard_normal(out=noise_row)
         np.less(u[: stop - start, 0], r, out=h1)
         rows = np.flatnonzero(h1)
         positions = u[rows, 1:]
     else:
-        k = 0
+        k, skip_block, skipped = 0, run.skip_block, run.skipped
         for j, i in enumerate(range(start, stop)):
-            g = stream.generator(seed, i)
-            h1[j] = hit = g.random() < r
+            key[1] = i
+            counter[0] = 0
+            bitgen.state = state
+            h1[j] = hit = random() < r
             if hit:
-                g.random(out=u[k, 1:])
+                random(out=u[k, 1:])
                 k += 1
             else:
-                stream.generator(seed, i, run.skip_block).random(out=run.skipped)
-            g.standard_normal(out=noise[j])
+                counter[0] = skip_block
+                bitgen.state = state
+                random(out=skipped)
+            standard_normal(out=noise[j])
         rows, positions = np.flatnonzero(h1), u[:k, 1:]
 
     # Only H1 rows carry the signal.

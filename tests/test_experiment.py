@@ -107,6 +107,42 @@ def test_counter_jump_reaches_the_noise_bit_for_bit(seed, trial, n):
     assert got.standard_normal(n).tobytes() == full.standard_normal(n).tobytes()
 
 
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**64 - 1),
+    m=st.integers(1, 4),
+    n=st.sampled_from([1, 7, _SKIP_FROM_N - 1, _SKIP_FROM_N, _SKIP_FROM_N + 1]),
+    r=st.sampled_from([0.0, 0.5, 1.0]),
+)
+@settings(max_examples=40, deadline=None)
+@example(seed=2**64 - 1, start=2**64 - 4, m=4, n=_SKIP_FROM_N - 1, r=0.5)
+@example(seed=2**64 - 1, start=2**64 - 4, m=4, n=_SKIP_FROM_N, r=0.5)
+@example(seed=2**63, start=2**63 - 2, m=4, n=20, r=0.5)  # trial indices cross 2^63
+@example(seed=2**63, start=2**63 - 2, m=4, n=_SKIP_FROM_N + 1, r=0.5)
+def test_draw_chunk_matches_trial_rng_at_the_edges_of_the_key_range(seed, start, m, n, r):
+    # Keys at or above 2^63 must reach the Philox state setter unchanged.
+    # p0 = 0 adds a zero signal, so the noise rows keep their raw bytes.
+    start = min(start, 2**64 - m)
+    config = make_config(
+        n_sensors=n, model=SignalModel(p0=0.0, alpha=0.02), likelihood_r=r, master_seed=seed
+    )
+    run = _RunState(n, m)
+    h1, noise = experiment._draw_chunk(config, run, start, start + m)
+    low, high = -config.roi.half_side, config.roi.half_side
+    k = 0
+    for j, i in enumerate(range(start, start + m)):
+        full = trial_rng(seed, i)
+        uniforms = full.random(1 + 2 * n)
+        assert h1[j] == (uniforms[0] < r)
+        if n < _SKIP_FROM_N:
+            assert run.u[j].tobytes() == uniforms.tobytes()
+        elif h1[j]:
+            # H1 positions fill the leading rows, mapped into the ROI in place.
+            assert run.u[k, 1:].tobytes() == (low + (high - low) * uniforms[1:]).tobytes()
+            k += 1
+        assert noise[j].tobytes() == full.standard_normal(n).tobytes()
+
+
 def test_run_trial_deterministic():
     config = make_config()
     r1 = run_trial(config, 17)
@@ -251,9 +287,12 @@ def reference_summary(records: list[TrialRecord]) -> AntsSummary:
         for n in (1, 7, 20, 100, 1000, _SKIP_FROM_N - 1, _SKIP_FROM_N, (_SKIP_FROM_N + 1) | 1)
     ],
 )
-def test_chunked_kernel_equals_per_trial_pipeline(n_sensors, likelihood_r):
+def test_chunked_kernel_equals_per_trial_pipeline(n_sensors, likelihood_r, monkeypatch):
     # 2B + 3 trials: two full chunks and a short last one. r = 0 and 1
-    # give chunks with no H1 row and with only H1 rows.
+    # give chunks with no H1 row and with only H1 rows. At N = 1 the
+    # default chunk would make this 32,771 trials; 256 keeps the shape.
+    if n_sensors == 1:
+        monkeypatch.setattr(experiment, "_CHUNK_ELEMENTS", 1 << 8)
     config = make_config(
         n_sensors=n_sensors,
         model=SignalModel(p0=20.0, alpha=0.02, n_exp=2.0),
