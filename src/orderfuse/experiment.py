@@ -114,7 +114,10 @@ class _TrialStream:
     state dict serves every trial. Its key, counter and buffer are lists
     of Python ints: the setter reads all ten entries one at a time, and
     a numpy ``uint64`` entry costs a scalar conversion each, which made
-    a re-key about 2.5x slower. Not thread-safe.
+    a re-key about 2.5x slower. A caller re-keys it by writing ``key``
+    and ``counter`` and assigning ``state`` to ``bitgen.state``; ``gen``
+    then draws from output 4 * ``counter[0]`` of the keyed stream. Not
+    thread-safe.
     """
 
     def __init__(self) -> None:
@@ -130,14 +133,6 @@ class _TrialStream:
             "has_uint32": 0,
             "uinteger": 0,
         }
-
-    def generator(self, master_seed: int, trial_index: int, block: int = 0) -> np.random.Generator:
-        """The trial's stream at output 4 * ``block`` (Philox fills 4 outputs per counter step)."""
-        self.key[0] = master_seed
-        self.key[1] = trial_index
-        self.counter[0] = block
-        self.bitgen.state = self.state
-        return self.gen
 
 
 _fusion_for = lru_cache(maxsize=128)(FusionConfig)

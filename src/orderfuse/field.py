@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -108,19 +109,41 @@ def sample_field(n: int, roi: RoiConfig, rng: np.random.Generator) -> SensorFiel
     return SensorField(positions=rng.uniform(-half, half, size=(n, 2)))
 
 
+def scalar_amplitude(model: SignalModel) -> Callable[[float], float]:
+    """The amplitude at one float distance ``d >= 0``, unchecked, as a closure.
+
+    Bit-identical to the array path of :func:`signal_amplitude`. At
+    n_exp = 2 numpy's power(d, 2.0) is d * d. Other exponents call the
+    ``np.power`` ufunc on the float, which runs the array path's loop;
+    a scalar ``**`` or ``math.pow`` goes to libm pow, which differs in
+    the last bit. The products and quotient round the same in Python
+    floats, and math.sqrt rounds as np.sqrt does.
+    """
+    p0, alpha, n_exp = model.p0, model.alpha, model.n_exp
+    if n_exp == 2.0:
+
+        def amp(d: float) -> float:
+            return math.sqrt(p0 / (1.0 + alpha * (d * d)))
+
+    else:
+        power = np.power
+
+        def amp(d: float) -> float:
+            return math.sqrt(p0 / (1.0 + alpha * float(power(d, n_exp))))
+
+    return amp
+
+
 def signal_amplitude(model: SignalModel, d):
     """Signal amplitude at distance ``d``: sqrt(p0 / (1 + alpha * d**n_exp)).
 
-    Accepts a scalar or an array of distances.
+    Accepts a scalar or an array of distances. A float distance takes
+    :func:`scalar_amplitude`, with the same bits.
     """
-    if isinstance(d, float) and model.n_exp == 2.0:
-        # Scalar fast path for the quadrature: numpy's power(d, 2.0) is
-        # d * d and math.sqrt rounds as np.sqrt does, so the bits agree.
-        # Other exponents keep the array path: libm pow differs from
-        # numpy's power in the last bit.
+    if isinstance(d, float):
         if d < 0:
             raise ValueError("distance must be nonnegative")
-        return math.sqrt(model.p0 / (1.0 + model.alpha * (d * d)))
+        return scalar_amplitude(model)(d)
     d_arr = np.asarray(d, dtype=float)
     if np.any(d_arr < 0):
         raise ValueError("distance must be nonnegative")

@@ -84,6 +84,10 @@ def q_inverse(p: float) -> float:
     return x
 
 
+def _not_finite(t: float) -> ValueError:
+    return ValueError(f"integrand is not finite at t={t!r}")
+
+
 def integrate(f: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive Simpson quadrature of ``f`` over ``[a, b]``.
 
@@ -107,15 +111,18 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> float:
     if a == b:
         return 0.0
 
-    def eval_f(t: float) -> float:
-        v = float(f(t))
-        if not math.isfinite(v):
-            raise ValueError(f"integrand is not finite at t={t!r}")
-        return v
-
-    fa, fb = eval_f(a), eval_f(b)
+    # f is called inline, node by node in a fixed order, and each value
+    # is checked before the next call: a function call per node costs
+    # about as much as a cheap integrand.
+    isfinite = math.isfinite
     m = 0.5 * (a + b)
-    fm = eval_f(m)
+    ends = []
+    for t in (a, b, m):
+        v = float(f(t))
+        if not isfinite(v):
+            raise _not_finite(t)
+        ends.append(v)
+    fa, fb, fm = ends
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     eps = _RELATIVE_TOLERANCE * abs(whole)
 
@@ -128,7 +135,12 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> float:
         a0, fa0, m0, fm0, b0, fb0, s0, eps0, depth = stack.pop()
         lm = 0.5 * (a0 + m0)
         rm = 0.5 * (m0 + b0)
-        flm, frm = eval_f(lm), eval_f(rm)
+        flm = float(f(lm))
+        if not isfinite(flm):
+            raise _not_finite(lm)
+        frm = float(f(rm))
+        if not isfinite(frm):
+            raise _not_finite(rm)
         left = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
         right = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
         delta = left + right - s0

@@ -72,11 +72,20 @@ def test_trial_rng_is_keyed_and_reproducible():
     assert not np.array_equal(a, c)
 
 
+def rekey(stream: _TrialStream, master_seed: int, trial_index: int, block: int = 0):
+    """Re-key ``stream`` as ``_draw_chunk`` does: the trial's stream at output 4 * ``block``."""
+    stream.key[0] = master_seed
+    stream.key[1] = trial_index
+    stream.counter[0] = block
+    stream.bitgen.state = stream.state
+    return stream.gen
+
+
 def test_internal_stream_matches_public_trial_rng():
     stream = _TrialStream()
     for master, idx in ((0, 0), (123456789, 42), ((1 << 64) - 1, 99_999)):
         expected = trial_rng(master, idx)
-        got = stream.generator(master, idx)
+        got = rekey(stream, master, idx)
         assert got.random() == expected.random()
         assert np.array_equal(got.standard_normal(16), expected.standard_normal(16))
         assert np.array_equal(got.uniform(-1, 1, 8), expected.uniform(-1, 1, 8))
@@ -97,10 +106,10 @@ def test_counter_jump_reaches_the_noise_bit_for_bit(seed, trial, n):
     # draws; its noise must be the full layout's, bit for bit.
     run = _RunState(n, 1)
     assert (1 + 2 * n) % 4 in (1, 3) and run.skipped.size == (1 + 2 * n) % 4
-    got = run.stream.generator(seed, trial)
+    got = rekey(run.stream, seed, trial)
     hypothesis = got.random()
     # The same generator, re-keyed at the block holding output 1 + 2N.
-    run.stream.generator(seed, trial, run.skip_block).random(out=run.skipped)
+    rekey(run.stream, seed, trial, run.skip_block).random(out=run.skipped)
     full = trial_rng(seed, trial)
     assert full.random() == hypothesis
     full.random(2 * n)

@@ -159,16 +159,31 @@ def test_amplitude_vectorized_matches_scalar():
     st.floats(min_value=0.0, allow_nan=False),
     st.floats(min_value=0.0, max_value=1e6),
     st.floats(min_value=1e-6, max_value=10.0),
+    st.one_of(st.just(2.0), st.floats(min_value=2.0, max_value=3.0)),
 )
-@example(0.0, 100.0, 0.02)
-@example(-0.0, 100.0, 0.02)
-@example(5e-324, 100.0, 0.02)
-@example(1e200, 100.0, 0.02)  # d * d overflows to inf: amplitude 0.0
+@example(0.0, 100.0, 0.02, 2.0)
+@example(-0.0, 100.0, 0.02, 2.0)
+@example(5e-324, 100.0, 0.02, 2.0)
+@example(1e200, 100.0, 0.02, 2.0)  # d * d overflows to inf: amplitude 0.0
+@example(0.0, 100.0, 0.02, 2.5)
+@example(-0.0, 100.0, 0.02, 2.5)
+@example(5e-324, 100.0, 0.02, 2.3)
+@example(5e-324, 100.0, 0.02, 2.5)
+@example(5e-324, 100.0, 0.02, 3.0)
+@example(1e200, 100.0, 0.02, 2.3)  # d ** n_exp overflows to inf: amplitude 0.0
+@example(1e200, 100.0, 0.02, 2.5)
+@example(1e200, 100.0, 0.02, 3.0)
+# Where numpy's power takes its AVX-512 loop, libm pow (a scalar ** or
+# math.pow) gives another amplitude at these distances.
+@example(40.5, 200.0, 0.02, 2.3)
+@example(40.0, 200.0, 0.02, 2.5)
+@example(51.4156488360521, 200.0, 0.02, 3.0)
 @settings(max_examples=300)
-def test_scalar_amplitude_bitwise_equals_array_path(d, p0, alpha):
-    # At n_exp = 2 a float distance takes the scalar path; numpy's
-    # power(d, 2.0) is d * d, so it must match the array path bit for bit.
-    model = SignalModel(p0=p0, alpha=alpha, n_exp=2.0)
+def test_scalar_amplitude_bitwise_equals_array_path(d, p0, alpha, n_exp):
+    # A float distance takes the scalar path at every exponent: d * d at
+    # n_exp = 2, numpy's power ufunc on the float otherwise. Both must
+    # match the array path bit for bit.
+    model = SignalModel(p0=p0, alpha=alpha, n_exp=n_exp)
     with np.errstate(over="ignore"):
         expected = float(signal_amplitude(model, np.array([d]))[0])
         for scalar in (d, np.float64(d)):
@@ -179,10 +194,11 @@ def test_scalar_amplitude_bitwise_equals_array_path(d, p0, alpha):
 
 @pytest.mark.parametrize("d", [-5e-324, -1e-300, -0.1, -1e200, -math.inf])
 def test_negative_distance_rejected_by_both_paths(d):
-    model = SignalModel(p0=1.0, alpha=0.02, n_exp=2.0)
-    for arg in (d, np.float64(d), np.array([d])):
-        with pytest.raises(ValueError, match="nonnegative"):
-            signal_amplitude(model, arg)
+    for n_exp in (2.0, 2.3, 2.5, 3.0):
+        model = SignalModel(p0=1.0, alpha=0.02, n_exp=n_exp)
+        for arg in (d, np.float64(d), np.array([d])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                signal_amplitude(model, arg)
 
 
 # ── generate_observations ───────────────────────────────────────────

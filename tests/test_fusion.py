@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orderfuse.field import Hypothesis, RoiConfig, SignalModel
+from orderfuse.field import Hypothesis, RoiConfig, SignalModel, signal_amplitude
 from orderfuse.fusion import (
     FusionConfig,
     LocalDetector,
@@ -21,6 +21,7 @@ from orderfuse.fusion import (
     theory_curves,
     threshold_from_local_pfa,
 )
+from orderfuse.statmath import integrate, q_function
 from test_statmath import q_inverse_bisect, q_oracle
 
 
@@ -317,3 +318,43 @@ def test_theory_corner_variance_from_its_own_tail(p0, local_pfa):
     miss = 0.5 * math.erfc((math.sqrt(p0 / (1.0 + 0.02 * 5000.0)) - det.tau) / math.sqrt(2.0))
     assert curves.sigma_bar_sq > 0.0
     assert curves.sigma_bar_sq == pytest.approx((1.0 - math.pi / 4.0) * miss, rel=1e-9, abs=0.0)
+
+
+def reference_curves(det, model, roi, n, t):
+    """theory_curves through q_function and the array path of signal_amplitude."""
+
+    def x_at(r):
+        return det.tau - float(signal_amplitude(model, np.array([r]))[0])
+
+    half = roi.half_side
+    x_corner = x_at(math.sqrt(2.0) * half)
+    gamma = q_function(x_corner)
+    disc_weight = 2.0 * math.pi / roi.side_b**2
+    corner_weight = 1.0 - math.pi / 4.0
+    def var_integrand(r):
+        x = x_at(r)
+        return q_function(x) * q_function(-x) * r
+
+    i_pd = integrate(lambda r: q_function(x_at(r)) * r, 0.0, half)
+    i_var = integrate(var_integrand, 0.0, half)
+    pd_bar = disc_weight * i_pd + corner_weight * gamma
+    sigma_bar_sq = disc_weight * i_var + corner_weight * gamma * q_function(-x_corner)
+    system_pd = q_function((t - n * pd_bar) / math.sqrt(n * sigma_bar_sq))
+    return gamma, pd_bar, sigma_bar_sq, system_pd
+
+
+@pytest.mark.parametrize("n_exp", [2.0, 2.3, 2.5, 3.0])
+@pytest.mark.parametrize("local_pfa", [1e-3, 0.05])
+@pytest.mark.parametrize("p0", [0.0, 1.0, 200.0, 3000.0])
+def test_theory_curves_bitwise_equal_reference(p0, local_pfa, n_exp):
+    # The flat integrands inline Q and take the scalar amplitude path; they
+    # must give the bits of the plain composition. Both sides call the same
+    # numpy power loop, so this holds whichever CPU dispatch numpy picks.
+    n = 100
+    fus = FusionConfig(n, local_pfa, 1e-3)
+    model = SignalModel(p0=p0, alpha=0.02, n_exp=n_exp)
+    roi = RoiConfig(side_b=100.0)
+    curves = theory_curves(fus.detector, model, roi, n, fus.system_threshold_t)
+    expected = reference_curves(fus.detector, model, roi, n, fus.system_threshold_t)
+    got = (curves.gamma, curves.pd_bar, curves.sigma_bar_sq, curves.system_pd)
+    assert [v.hex() for v in got] == [v.hex() for v in expected]

@@ -187,6 +187,22 @@ def test_integrate_rejects_non_finite_integrand():
         integrate(lambda t: math.inf, 0.0, 1.0)
 
 
+def test_integrate_names_the_first_non_finite_node_and_stops():
+    # The first step on [0, 1] evaluates its left child 0.25, then its
+    # right child 0.75. A NaN there must be reported at 0.75, and f must
+    # not be called again. At a starting node the same holds: 0, 1, 0.5.
+    for bad, expected_calls in ((0.75, [0.0, 1.0, 0.5, 0.25, 0.75]), (1.0, [0.0, 1.0])):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return math.nan if t == bad else t
+
+        with pytest.raises(ValueError, match=f"not finite at t={bad!r}$"):
+            integrate(f, 0.0, 1.0)
+        assert calls == expected_calls
+
+
 def test_integrate_depth_exhaustion_carries_best_estimate():
     # No Simpson refinement resolves a jump, so the subinterval holding it
     # fails its test down to the depth limit.
