@@ -24,9 +24,7 @@ from .experiment import (
 )
 from .field import (
     Hypothesis,
-    ObservationVector,
     RoiConfig,
-    SensorField,
     SignalModel,
     generate_observations,
     oracle_amplitudes,
@@ -71,11 +69,9 @@ __all__ = [
     "FusionConfig",
     "Hypothesis",
     "LocalDetector",
-    "ObservationVector",
     "OffCenterTargetError",
     "QuadratureConvergenceError",
     "RoiConfig",
-    "SensorField",
     "SignalModel",
     "StoppedRun",
     "SweepCell",

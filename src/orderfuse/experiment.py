@@ -105,36 +105,6 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _TrialStream:
-    """Reusable bit generator re-keyed per trial.
-
-    Produces streams bit-identical to :func:`trial_rng` while skipping
-    the per-trial bit-generator construction (which pulls OS entropy it
-    never uses). The state setter copies the prepared state, so one
-    state dict serves every trial. Its key, counter and buffer are lists
-    of Python ints: the setter reads all ten entries one at a time, and
-    a numpy ``uint64`` entry costs a scalar conversion each, which made
-    a re-key about 2.5x slower. A caller re-keys it by writing ``key``
-    and ``counter`` and assigning ``state`` to ``bitgen.state``; ``gen``
-    then draws from output 4 * ``counter[0]`` of the keyed stream. Not
-    thread-safe.
-    """
-
-    def __init__(self) -> None:
-        self.bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        self.gen = np.random.Generator(self.bitgen)
-        self.key = [0, 0]
-        self.counter = [0, 0, 0, 0]
-        self.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": self.counter, "key": self.key},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-
 _fusion_for = lru_cache(maxsize=128)(FusionConfig)
 
 
@@ -154,6 +124,17 @@ def _chunk_size(n_sensors: int) -> int:
 class _RunState:
     """What the chunks of one run share; each chunk of up to ``b`` trials fills the arrays in place.
 
+    One Philox bit generator, re-keyed per trial, gives streams
+    bit-identical to :func:`trial_rng` while skipping the per-trial
+    construction (which pulls OS entropy it never uses). The state
+    setter copies the prepared ``state`` dict, so one dict serves every
+    trial. Its key, counter and buffer are lists of Python ints: the
+    setter reads all ten entries one at a time, and a numpy ``uint64``
+    entry costs a scalar conversion each, which made a re-key about
+    2.5x slower. A caller re-keys by writing ``key`` and ``counter`` and
+    assigning ``state`` to ``bitgen.state``; ``gen`` then draws from
+    output 4 * ``counter[0]`` of the keyed stream. Not thread-safe.
+
     Arrays freed after every chunk let glibc trim the heap and fault it
     back in. The arrays are views of one block, whose release raises
     glibc's trim threshold above it, so the next run reuses its pages
@@ -161,7 +142,18 @@ class _RunState:
     """
 
     def __init__(self, n: int, b: int) -> None:
-        self.stream = _TrialStream()
+        self.bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        self.gen = np.random.Generator(self.bitgen)
+        self.key = [0, 0]
+        self.counter = [0, 0, 0, 0]
+        self.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self.counter, "key": self.key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         self.replay_stride = max(1, min(b, _REPLAY_ELEMENTS // n))
         mem = np.empty(b * (6 * n + 1))
         self.u = mem[: b * (1 + 2 * n)].reshape(b, 1 + 2 * n)
@@ -185,9 +177,9 @@ def _draw_chunk(
     the leading rows of ``run.u``. The results are views into ``run``.
     """
     n, roi, r, seed = config.n_sensors, config.roi, config.likelihood_r, config.master_seed
-    stream, u, noise, h1 = run.stream, run.u, run.noise[: stop - start], run.h1[: stop - start]
-    bitgen, state, key, counter = stream.bitgen, stream.state, stream.key, stream.counter
-    random, standard_normal = stream.gen.random, stream.gen.standard_normal
+    u, noise, h1 = run.u, run.noise[: stop - start], run.h1[: stop - start]
+    bitgen, state, key, counter = run.bitgen, run.state, run.key, run.counter
+    random, standard_normal = run.gen.random, run.gen.standard_normal
     key[0] = seed
     if n < _SKIP_FROM_N:
         counter[0] = 0
@@ -236,7 +228,7 @@ def _run_chunk(
     stopped, one row each. Trials whose index is a multiple of
     ``run.replay_stride`` are replayed through the scalar scan.
     """
-    n, m = config.n_sensors, stop - start
+    m = stop - start
     h1, z = _draw_chunk(config, run, start, stop)
 
     t = fusion.system_threshold_t
@@ -252,7 +244,7 @@ def _run_chunk(
     stride = run.replay_stride
     for i in range(-(-start // stride) * stride, stop, stride):
         j = i - start
-        ref = run_ordered_counting(ordered[j], n, t)
+        ref = run_ordered_counting(ordered[j], t)
         if (ref.k_transmitted, ref.crossing, ref.decision is Hypothesis.H1, ref.partial_sum) != (
             stops.k_transmitted[j],
             CROSSINGS[stops.crossing[j]],

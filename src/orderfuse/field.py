@@ -63,50 +63,13 @@ class SignalModel:
             raise ValueError(f"n_exp must lie in [2, 3], got {self.n_exp!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class SensorField:
-    """Sensor positions for one trial, array of shape (n, 2)."""
-
-    positions: np.ndarray
-
-    def __post_init__(self) -> None:
-        pos = np.asarray(self.positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
-            raise ValueError(f"positions must have shape (n >= 1, 2), got {pos.shape}")
-        object.__setattr__(self, "positions", pos)
-
-    @property
-    def size(self) -> int:
-        return self.positions.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ObservationVector:
-    """One observation per sensor plus the hypothesis it was drawn under."""
-
-    z: np.ndarray
-    hypothesis: Hypothesis
-
-    def __post_init__(self) -> None:
-        z = np.asarray(self.z, dtype=float)
-        if z.ndim != 1 or z.shape[0] < 1:
-            raise ValueError(f"z must be a nonempty vector, got shape {z.shape}")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("observations must be finite")
-        object.__setattr__(self, "z", z)
-
-    @property
-    def size(self) -> int:
-        return self.z.shape[0]
-
-
-def sample_field(n: int, roi: RoiConfig, rng: np.random.Generator) -> SensorField:
-    """Drop ``n`` sensors i.i.d. uniform over the ROI square."""
+def sample_field(n: int, roi: RoiConfig, rng: np.random.Generator) -> np.ndarray:
+    """Drop ``n`` sensors i.i.d. uniform over the ROI square: positions, shape (n, 2)."""
     n = int(n)
     if n < 1:
         raise ValueError(f"field size must be a positive integer, got {n!r}")
     half = roi.half_side
-    return SensorField(positions=rng.uniform(-half, half, size=(n, 2)))
+    return rng.uniform(-half, half, size=(n, 2))
 
 
 def scalar_amplitude(model: SignalModel) -> Callable[[float], float]:
@@ -137,55 +100,54 @@ def scalar_amplitude(model: SignalModel) -> Callable[[float], float]:
 def signal_amplitude(model: SignalModel, d):
     """Signal amplitude at distance ``d``: sqrt(p0 / (1 + alpha * d**n_exp)).
 
-    Accepts a scalar or an array of distances. A float distance takes
-    :func:`scalar_amplitude`, with the same bits.
+    Accepts a scalar or an array of distances; a scalar returns a float.
     """
-    if isinstance(d, float):
-        if d < 0:
-            raise ValueError("distance must be nonnegative")
-        return scalar_amplitude(model)(d)
     d_arr = np.asarray(d, dtype=float)
     if np.any(d_arr < 0):
         raise ValueError("distance must be nonnegative")
     amp = np.sqrt(model.p0 / (1.0 + model.alpha * d_arr**model.n_exp))
-    if d_arr.ndim == 0:
-        return float(amp)
-    return amp
+    return float(amp) if d_arr.ndim == 0 else amp
 
 
-def oracle_distances(field: SensorField, roi: RoiConfig) -> np.ndarray:
+def _checked_positions(positions) -> np.ndarray:
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
+        raise ValueError(f"positions must have shape (n >= 1, 2), got {pos.shape}")
+    return pos
+
+
+def oracle_distances(positions, roi: RoiConfig) -> np.ndarray:
     """True target-sensor distances, for known-geometry baselines only.
 
-    The deployed detectors treat distances as unknown; only the raw
-    likelihood-ratio ordering baseline is allowed to consume this.
+    ``positions`` has shape (n >= 1, 2). The deployed detectors treat
+    distances as unknown; only the raw likelihood-ratio ordering
+    baseline is allowed to consume this.
     """
-    dx = field.positions[:, 0] - roi.target_x
-    dy = field.positions[:, 1] - roi.target_y
-    return np.hypot(dx, dy)
+    pos = _checked_positions(positions)
+    return np.hypot(pos[:, 0] - roi.target_x, pos[:, 1] - roi.target_y)
 
 
-def oracle_amplitudes(field: SensorField, roi: RoiConfig, model: SignalModel) -> np.ndarray:
+def oracle_amplitudes(positions, roi: RoiConfig, model: SignalModel) -> np.ndarray:
     """True per-sensor signal amplitudes (known-geometry baselines only)."""
-    return signal_amplitude(model, oracle_distances(field, roi))
+    return signal_amplitude(model, oracle_distances(positions, roi))
 
 
 def generate_observations(
-    field: SensorField,
+    positions,
     roi: RoiConfig,
     model: SignalModel,
     hypothesis: Hypothesis,
     rng: np.random.Generator,
-) -> ObservationVector:
-    """Draw one observation per sensor under the given hypothesis.
+) -> np.ndarray:
+    """Draw one observation z per sensor at ``positions`` under the given hypothesis.
 
     Under H0 each entry is standard Gaussian noise; under H1 the
     attenuated signal amplitude is added. The noise vector is drawn
     first in both branches, so a fixed stream yields the same noise
     whichever hypothesis is requested.
     """
-    noise = rng.standard_normal(field.size)
+    pos = _checked_positions(positions)
+    noise = rng.standard_normal(pos.shape[0])
     if hypothesis is Hypothesis.H1:
-        z = oracle_amplitudes(field, roi, model) + noise
-    else:
-        z = noise
-    return ObservationVector(z=z, hypothesis=hypothesis)
+        return oracle_amplitudes(pos, roi, model) + noise
+    return noise

@@ -195,10 +195,6 @@ def theory_curves(
     tau = det.tau
     amp = scalar_amplitude(model)
     erfc = math.erfc
-    # Detection rate at the worst corner, and its miss rate from its own
-    # tail, as in var_integrand.
-    x_corner = tau - amp(math.sqrt(2.0) * half)
-    gamma = q_function(x_corner)
 
     # Both integrands inline Q(x) = 0.5 * erfc(x / sqrt(2)) with the
     # arithmetic of q_function. Every node is finite without its checks:
@@ -213,10 +209,17 @@ def theory_curves(
         x = tau - amp(r)
         return 0.5 * erfc(x / _SQRT2) * (0.5 * erfc(-x / _SQRT2)) * r
 
+    # Off n_exp = 2, d**n_exp at a huge distance overflows to inf in
+    # numpy's power, which warns; the amplitude 0 it gives is the limit.
+    with np.errstate(over="ignore"):
+        x_corner = tau - amp(math.sqrt(2.0) * half)
+        i_pd = integrate(pd_integrand, 0.0, half)
+        i_var = integrate(var_integrand, 0.0, half)
+    # Detection rate at the worst corner, and its miss rate from its own
+    # tail, as in var_integrand.
+    gamma = q_function(x_corner)
     disc_weight = 2.0 * math.pi / roi.side_b**2
-    i_pd = integrate(pd_integrand, 0.0, half)
     pd_bar = disc_weight * i_pd + _CORNER_WEIGHT * gamma
-    i_var = integrate(var_integrand, 0.0, half)
     sigma_bar_sq = disc_weight * i_var + _CORNER_WEIGHT * gamma * q_function(-x_corner)
 
     denom = math.sqrt(n * sigma_bar_sq)

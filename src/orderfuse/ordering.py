@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import Hypothesis, ObservationVector
+from .field import Hypothesis
 from .fusion import LocalDetector
 
 
@@ -84,13 +84,23 @@ def _transmit_times(z: np.ndarray, tau: float, out: np.ndarray | None = None) ->
         return np.divide(1.0, np.abs(np.subtract(z, tau, out=out), out=out), out=out)
 
 
-def schedule(observations: ObservationVector, det: LocalDetector) -> np.ndarray:
+def _observations(z) -> np.ndarray:
+    """``z`` as a float vector, checked to be nonempty, 1-D and finite."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1 or z.shape[0] < 1:
+        raise ValueError(f"z must be a nonempty vector, got shape {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("observations must be finite")
+    return z
+
+
+def schedule(z, det: LocalDetector) -> np.ndarray:
     """Sensor indices in arrival order, earliest transmitter first.
 
     Sensor i transmits at 1/|z_i - tau| (never, i.e. last, when
     z_i == tau); equal times go in ascending index order.
     """
-    return arrival_order(observations.z, det.tau)
+    return arrival_order(_observations(z), det.tau)
 
 
 def _first_crossing(
@@ -114,26 +124,24 @@ def _first_crossing(
     return StoppedRun(len(sums), decision, Crossing.EXHAUSTED, sums[-1].item())
 
 
-def run_ordered_counting(ordered_decisions, n: int, t: float) -> StoppedRun:
+def run_ordered_counting(ordered_decisions, t: float) -> StoppedRun:
     """Feed ordered one-bit decisions to the fusion center until a stop.
 
-    Scans the decisions in arrival order; after the k-th bit the run
+    Scans the n decisions in arrival order; after the k-th bit the run
     stops with UPPER when the partial count exceeds ``t`` and with LOWER
     when it falls below ``t - (n - k)``. If neither fires through k = n
     (possible only when the final count equals an integer ``t``), the
     run is EXHAUSTED and resolved by the strict count comparison.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
     d = np.asarray(ordered_decisions)
-    if d.ndim != 1 or d.shape[0] != n:
-        raise ValueError(f"expected {n} ordered decisions, got shape {d.shape}")
+    if d.ndim != 1 or d.shape[0] < 1:
+        raise ValueError(f"ordered decisions must be a nonempty vector, got shape {d.shape}")
     if not np.all((d == 0) | (d == 1)):
         raise ValueError("decisions must be 0/1 bits")
     t = float(t)
 
     counts = np.cumsum(d.astype(np.int64))
+    n = d.shape[0]
     k = np.arange(1, n + 1)
     return _first_crossing(counts, counts > t, counts < t - (n - k), counts[-1] > t)
 
@@ -245,18 +253,14 @@ def ants_bounds(n: int, t: float, r: float) -> AntsBounds:
     )
 
 
-def lr_schedule_and_run(
-    observations: ObservationVector,
-    true_amplitudes,
-    prior_p: float,
-    n: int,
-) -> StoppedRun:
+def lr_schedule_and_run(z, true_amplitudes, prior_p: float) -> StoppedRun:
     """Raw log-likelihood-ratio ordering protocol (oracle baseline).
 
     For the Gaussian mean-shift observation model the per-sensor
     log-likelihood ratio is ln L_i = s_i * z_i - s_i**2 / 2, with s_i the
-    true amplitude (known-geometry oracle input). Sensors transmit in
-    descending |ln L|; after k arrivals the center declares H1 when
+    true amplitude (known-geometry oracle input) of sensor i of n.
+    Sensors transmit in descending |ln L|; after k arrivals the center
+    declares H1 when
 
         sum_k > ln((1-p)/p) + (n-k) * |ln L_[k]|
 
@@ -266,17 +270,16 @@ def lr_schedule_and_run(
     slack vanishes and the comparison is the unconstrained Bayes test
     (tie at equality decides H0).
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    z = _observations(z)
     prior_p = float(prior_p)
     if not 0.0 < prior_p < 1.0:
         raise ValueError(f"prior_p must be in (0, 1), got {prior_p!r}")
     s = np.asarray(true_amplitudes, dtype=float)
-    if s.ndim != 1 or s.shape[0] != n or observations.size != n:
-        raise ValueError("observations and true_amplitudes must both have length n")
+    if s.shape != z.shape:
+        raise ValueError(f"true_amplitudes must have shape {z.shape}, got {s.shape}")
 
-    llr = s * observations.z - 0.5 * s * s
+    n = z.shape[0]
+    llr = s * z - 0.5 * s * s
     order = np.argsort(-np.abs(llr), kind="stable")
     ordered = llr[order]
     sums = np.cumsum(ordered)

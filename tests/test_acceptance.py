@@ -13,14 +13,7 @@ import numpy as np
 
 from orderfuse.cli import main
 from orderfuse.experiment import ExperimentConfig, monte_carlo, sweep
-from orderfuse.field import (
-    Hypothesis,
-    ObservationVector,
-    RoiConfig,
-    SensorField,
-    SignalModel,
-    oracle_amplitudes,
-)
+from orderfuse.field import Hypothesis, RoiConfig, SignalModel, oracle_amplitudes
 from orderfuse.fusion import (
     FusionConfig,
     counting_rule,
@@ -66,7 +59,7 @@ def test_criterion_1_decision_equivalence():
         for bits in itertools.product((0, 1), repeat=n):
             bits = list(bits)
             for t in thresholds:
-                run = run_ordered_counting(bits, n, t)
+                run = run_ordered_counting(bits, t)
                 mismatches += run.decision is not counting_rule(bits, t)
                 checked += 1
     # Randomized: 1e5 trials at N = 100 with random densities and thresholds.
@@ -75,7 +68,7 @@ def test_criterion_1_decision_equivalence():
     for _ in range(100_000):
         bits = (rng.random(n) < rng.random()).astype(np.int64)
         t = rng.uniform(-1.0, n + 1.0)
-        run = run_ordered_counting(bits, n, t)
+        run = run_ordered_counting(bits, t)
         mismatches += run.decision is not counting_rule(bits, t)
         checked += 1
     _report(1, mismatches == 0, f"{checked} ordered-vs-full decisions, {mismatches} mismatches")
@@ -92,12 +85,10 @@ def test_criterion_2_lr_baseline_equivalence():
     for i in range(100_000):
         model = SignalModel(p0=powers[i % 3], alpha=0.02)
         prior = priors[(i // 3) % 3]
-        field = SensorField(positions=rng.uniform(-50.0, 50.0, (n, 2)))
-        amps = oracle_amplitudes(field, ROI, model)
+        amps = oracle_amplitudes(rng.uniform(-50.0, 50.0, (n, 2)), ROI, model)
         under_h1 = rng.random() < 0.5
         z = rng.standard_normal(n) + (amps if under_h1 else 0.0)
-        obs = ObservationVector(z=z, hypothesis=Hypothesis.H1 if under_h1 else Hypothesis.H0)
-        run = lr_schedule_and_run(obs, amps, prior, n)
+        run = lr_schedule_and_run(z, amps, prior)
         full_sum = float(np.sum(amps * z - 0.5 * amps * amps))
         bayes = Hypothesis.H1 if full_sum > math.log((1 - prior) / prior) else Hypothesis.H0
         mismatches += run.decision is not bayes

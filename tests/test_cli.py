@@ -2,6 +2,7 @@
 
 import math
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,22 @@ def test_theory_golden_bytes(tmp_path, n, n_exp, p0, local_pfa):
     rows = "".join(f"{k},{v}\n" for k, v in zip(THEORY_QUANTITIES, values, strict=True))
     expected = "quantity,value\n" + rows
     assert out.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("n_exp", ["2", "2.5", "3"])
+def test_theory_huge_roi_runs_without_overflow_warning(tmp_path, n_exp):
+    # At b = 1e150 the corner distance to the power n_exp overflows to
+    # inf; the amplitude there is 0, its limit, and no warning is printed.
+    out = tmp_path / "theory.csv"
+    argv = ["theory", "--n-sensors", "20", "--p0", "100", "--roi-b", "1e150",
+            "--decay-exp", n_exp, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    values = (f"20 100 0.02 {n_exp} 1e+150 0.001 0.001 0.5 3.09023231 0.456806277 "
+              "0.001 0.001 0.000999 0.001 0.001 9.5 0 9.5").split()
+    rows = "".join(f"{k},{v}\n" for k, v in zip(THEORY_QUANTITIES, values, strict=True))
+    assert out.read_bytes() == ("quantity,value\n" + rows).encode()
 
 
 # ── one parser per process ──────────────────────────────────────────

@@ -16,7 +16,6 @@ from orderfuse.experiment import (
     TrialRecord,
     _chunk_size,
     _RunState,
-    _TrialStream,
     cell_seed,
     monte_carlo,
     run_trial,
@@ -72,20 +71,20 @@ def test_trial_rng_is_keyed_and_reproducible():
     assert not np.array_equal(a, c)
 
 
-def rekey(stream: _TrialStream, master_seed: int, trial_index: int, block: int = 0):
-    """Re-key ``stream`` as ``_draw_chunk`` does: the trial's stream at output 4 * ``block``."""
-    stream.key[0] = master_seed
-    stream.key[1] = trial_index
-    stream.counter[0] = block
-    stream.bitgen.state = stream.state
-    return stream.gen
+def rekey(run: _RunState, master_seed: int, trial_index: int, block: int = 0):
+    """Re-key ``run`` as ``_draw_chunk`` does: the trial's stream at output 4 * ``block``."""
+    run.key[0] = master_seed
+    run.key[1] = trial_index
+    run.counter[0] = block
+    run.bitgen.state = run.state
+    return run.gen
 
 
 def test_internal_stream_matches_public_trial_rng():
-    stream = _TrialStream()
+    run = _RunState(1, 1)
     for master, idx in ((0, 0), (123456789, 42), ((1 << 64) - 1, 99_999)):
         expected = trial_rng(master, idx)
-        got = rekey(stream, master, idx)
+        got = rekey(run, master, idx)
         assert got.random() == expected.random()
         assert np.array_equal(got.standard_normal(16), expected.standard_normal(16))
         assert np.array_equal(got.uniform(-1, 1, 8), expected.uniform(-1, 1, 8))
@@ -106,10 +105,10 @@ def test_counter_jump_reaches_the_noise_bit_for_bit(seed, trial, n):
     # draws; its noise must be the full layout's, bit for bit.
     run = _RunState(n, 1)
     assert (1 + 2 * n) % 4 in (1, 3) and run.skipped.size == (1 + 2 * n) % 4
-    got = rekey(run.stream, seed, trial)
+    got = rekey(run, seed, trial)
     hypothesis = got.random()
     # The same generator, re-keyed at the block holding output 1 + 2N.
-    rekey(run.stream, seed, trial, run.skip_block).random(out=run.skipped)
+    rekey(run, seed, trial, run.skip_block).random(out=run.skipped)
     full = trial_rng(seed, trial)
     assert full.random() == hypothesis
     full.random(2 * n)
@@ -247,17 +246,16 @@ def reference_draws(config: ExperimentConfig, fusion: FusionConfig, trial_index:
     """Hypothesis, observations and local bits of one trial, from its own stream."""
     rng = trial_rng(config.master_seed, trial_index)
     hyp = Hypothesis.H1 if rng.random() < config.likelihood_r else Hypothesis.H0
-    field = sample_field(config.n_sensors, config.roi, rng)
-    observations = generate_observations(field, config.roi, config.model, hyp, rng)
-    return hyp, observations, local_decisions(observations.z, fusion.detector)
+    positions = sample_field(config.n_sensors, config.roi, rng)
+    z = generate_observations(positions, config.roi, config.model, hyp, rng)
+    return hyp, z, local_decisions(z, fusion.detector)
 
 
 def reference_trial(config: ExperimentConfig, fusion: FusionConfig, trial_index: int) -> TrialRecord:
     """One trial through the per-trial object pipeline, from its own stream."""
     t = fusion.system_threshold_t
-    hyp, observations, bits = reference_draws(config, fusion, trial_index)
-    order = schedule(observations, fusion.detector)
-    stopped = run_ordered_counting(bits[order], config.n_sensors, t)
+    hyp, z, bits = reference_draws(config, fusion, trial_index)
+    stopped = run_ordered_counting(bits[schedule(z, fusion.detector)], t)
     assert stopped.decision is counting_rule(bits, t)
     return TrialRecord(
         trial_index=trial_index,
@@ -341,17 +339,17 @@ def test_scalar_replay_covers_every_multiple_of_the_old_chunk(n_sensors, monkeyp
     replayed = []
     real = experiment.run_ordered_counting
 
-    def recording(ordered, n, t):
+    def recording(ordered, t):
         replayed.append(np.array(ordered))
-        return real(ordered, n, t)
+        return real(ordered, t)
 
     monkeypatch.setattr(experiment, "run_ordered_counting", recording)
     monte_carlo(config)
     fusion = FusionConfig(n_sensors, config.local_pfa, config.system_pfa)
     expected = []
     for i in range(0, config.n_trials, stride):
-        _, observations, bits = reference_draws(config, fusion, i)
-        expected.append(bits[schedule(observations, fusion.detector)])
+        _, z, bits = reference_draws(config, fusion, i)
+        expected.append(bits[schedule(z, fusion.detector)])
     assert len(replayed) == len(expected) == -(-config.n_trials // stride)
     for got, want in zip(replayed, expected):
         assert np.array_equal(got, want)

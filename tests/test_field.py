@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from orderfuse.field import (
     Hypothesis,
-    ObservationVector,
     RoiConfig,
-    SensorField,
     SignalModel,
     generate_observations,
     oracle_amplitudes,
     oracle_distances,
     sample_field,
+    scalar_amplitude,
     signal_amplitude,
 )
 
@@ -52,9 +51,9 @@ def test_signal_model_validation():
 
 
 def test_single_sensor_in_support():
-    field = sample_field(1, RoiConfig(side_b=2.0), rng(42))
-    assert field.size == 1
-    assert np.all(np.abs(field.positions) <= 1.0)
+    positions = sample_field(1, RoiConfig(side_b=2.0), rng(42))
+    assert positions.shape == (1, 2)
+    assert np.all(np.abs(positions) <= 1.0)
 
 
 def test_sample_field_rejects_zero():
@@ -65,8 +64,7 @@ def test_sample_field_rejects_zero():
 def test_uniform_moments():
     # Oracles: uniform mean 0 with sd b/sqrt(12)/sqrt(n); variance b^2/12.
     n, b = 100_000, 100.0
-    field = sample_field(n, RoiConfig(side_b=b), rng(7))
-    x = field.positions[:, 0]
+    x = sample_field(n, RoiConfig(side_b=b), rng(7))[:, 0]
     assert abs(x.mean()) <= 0.55  # 3 sigma of the mean estimator ~ 0.274
     assert x.var() == pytest.approx(b * b / 12.0, rel=0.02)
 
@@ -75,23 +73,23 @@ def test_uniform_moments():
 @settings(max_examples=30)
 def test_positions_always_inside_roi(n, seed):
     b = 40.0
-    field = sample_field(n, RoiConfig(side_b=b), rng(seed))
-    assert np.all(field.positions >= -b / 2)
-    assert np.all(field.positions <= b / 2)
+    positions = sample_field(n, RoiConfig(side_b=b), rng(seed))
+    assert np.all(positions >= -b / 2)
+    assert np.all(positions <= b / 2)
 
 
 def test_field_reproducible_per_seed():
     roi = RoiConfig(side_b=30.0)
     f1 = sample_field(50, roi, rng(99))
     f2 = sample_field(50, roi, rng(99))
-    assert np.array_equal(f1.positions, f2.positions)
+    assert np.array_equal(f1, f2)
 
 
 # ── distance ────────────────────────────────────────────────────────
 
 
 def distances(points, roi: RoiConfig) -> np.ndarray:
-    return oracle_distances(SensorField(positions=np.array(points, dtype=float)), roi)
+    return oracle_distances(np.array(points, dtype=float), roi)
 
 
 def test_distance_examples():
@@ -180,12 +178,16 @@ def test_amplitude_vectorized_matches_scalar():
 @example(51.4156488360521, 200.0, 0.02, 3.0)
 @settings(max_examples=300)
 def test_scalar_amplitude_bitwise_equals_array_path(d, p0, alpha, n_exp):
-    # A float distance takes the scalar path at every exponent: d * d at
-    # n_exp = 2, numpy's power ufunc on the float otherwise. Both must
-    # match the array path bit for bit.
+    # Both scalar routes must match the 1-D array path bit for bit:
+    # scalar_amplitude (d * d at n_exp = 2, numpy's power ufunc on the
+    # float otherwise), which theory_curves uses, and signal_amplitude
+    # on a float, which takes the 0-d array path.
     model = SignalModel(p0=p0, alpha=alpha, n_exp=n_exp)
     with np.errstate(over="ignore"):
         expected = float(signal_amplitude(model, np.array([d]))[0])
+        got = scalar_amplitude(model)(d)
+        assert type(got) is float
+        assert got.hex() == expected.hex()
         for scalar in (d, np.float64(d)):
             got = signal_amplitude(model, scalar)
             assert type(got) is float
@@ -207,18 +209,18 @@ def test_negative_distance_rejected_by_both_paths(d):
 def test_h0_observations_standard_gaussian():
     roi = RoiConfig(side_b=100.0)
     model = SignalModel(p0=123.0, alpha=0.02)
-    field = sample_field(1_000_000, roi, rng(3))
-    obs = generate_observations(field, roi, model, Hypothesis.H0, rng(4))
-    assert abs(obs.z.mean()) <= 0.004  # 3 sigma band for 1e6 draws is 0.003
-    assert obs.z.std() == pytest.approx(1.0, rel=0.01)
+    positions = sample_field(1_000_000, roi, rng(3))
+    z = generate_observations(positions, roi, model, Hypothesis.H0, rng(4))
+    assert abs(z.mean()) <= 0.004  # 3 sigma band for 1e6 draws is 0.003
+    assert z.std() == pytest.approx(1.0, rel=0.01)
 
 
 def test_h1_zero_power_identical_to_h0():
     roi = RoiConfig(side_b=100.0)
     model = SignalModel(p0=0.0, alpha=0.02)
-    field = sample_field(500, roi, rng(5))
-    z0 = generate_observations(field, roi, model, Hypothesis.H0, rng(6)).z
-    z1 = generate_observations(field, roi, model, Hypothesis.H1, rng(6)).z
+    positions = sample_field(500, roi, rng(5))
+    z0 = generate_observations(positions, roi, model, Hypothesis.H0, rng(6))
+    z1 = generate_observations(positions, roi, model, Hypothesis.H1, rng(6))
     assert np.array_equal(z0, z1)
 
 
@@ -226,24 +228,17 @@ def test_h1_mean_shift_at_target():
     # Sensors pinned to the target location: amplitude is exactly sqrt(p0).
     roi = RoiConfig(side_b=100.0)
     model = SignalModel(p0=100.0, alpha=0.02)
-    field = SensorField(positions=np.zeros((1_000_000, 2)))
-    obs = generate_observations(field, roi, model, Hypothesis.H1, rng(8))
-    assert obs.hypothesis is Hypothesis.H1
-    assert obs.z.mean() == pytest.approx(10.0, abs=0.004)
+    z = generate_observations(np.zeros((1_000_000, 2)), roi, model, Hypothesis.H1, rng(8))
+    assert z.mean() == pytest.approx(10.0, abs=0.004)
 
 
 def test_observations_reproducible_per_seed():
     roi = RoiConfig(side_b=50.0)
     model = SignalModel(p0=10.0, alpha=0.02)
-    field = sample_field(64, roi, rng(11))
-    z1 = generate_observations(field, roi, model, Hypothesis.H1, rng(12)).z
-    z2 = generate_observations(field, roi, model, Hypothesis.H1, rng(12)).z
+    positions = sample_field(64, roi, rng(11))
+    z1 = generate_observations(positions, roi, model, Hypothesis.H1, rng(12))
+    z2 = generate_observations(positions, roi, model, Hypothesis.H1, rng(12))
     assert np.array_equal(z1, z2)
-
-
-def test_observation_vector_rejects_non_finite():
-    with pytest.raises(ValueError):
-        ObservationVector(z=np.array([1.0, math.nan]), hypothesis=Hypothesis.H0)
 
 
 # ── oracle accessors ────────────────────────────────────────────────
@@ -252,8 +247,14 @@ def test_observation_vector_rejects_non_finite():
 def test_oracle_distances_and_amplitudes():
     roi = RoiConfig(side_b=200.0)
     model = SignalModel(p0=100.0, alpha=0.02)
-    field = SensorField(positions=np.array([[0.0, 0.0], [3.0, 4.0]]))
-    np.testing.assert_allclose(oracle_distances(field, roi), [0.0, 5.0])
-    amps = oracle_amplitudes(field, roi, model)
+    positions = np.array([[0.0, 0.0], [3.0, 4.0]])
+    np.testing.assert_allclose(oracle_distances(positions, roi), [0.0, 5.0])
+    amps = oracle_amplitudes(positions, roi, model)
     assert amps[0] == 10.0
     assert amps[1] == pytest.approx(signal_amplitude(model, 5.0))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2,), (0, 2), (1, 2, 2)])
+def test_oracle_distances_rejects_positions_not_shaped_n_by_2(shape):
+    with pytest.raises(ValueError, match="shape"):
+        oracle_distances(np.zeros(shape), RoiConfig(side_b=10.0))

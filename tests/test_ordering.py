@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orderfuse.field import Hypothesis, ObservationVector, RoiConfig, SignalModel, oracle_amplitudes, sample_field
+from orderfuse.field import Hypothesis, RoiConfig, SignalModel, oracle_amplitudes, sample_field
 from orderfuse.fusion import LocalDetector, counting_rule
 from orderfuse.statmath import q_function
 from orderfuse.ordering import (
@@ -35,17 +35,13 @@ def reference_order(z_row, tau: float) -> list[int]:
     return sorted(range(len(times)), key=lambda i: (times[i], i))
 
 
-def obs(values, hypothesis=Hypothesis.H0) -> ObservationVector:
-    return ObservationVector(z=np.asarray(values, dtype=float), hypothesis=hypothesis)
-
-
 # ── schedule ────────────────────────────────────────────────────────
 
 
 def test_schedule_hand_trace():
     det = detector_near(3.09)
     z = np.array([4.1, 2.9, -1.0])
-    order = schedule(obs(z), det)
+    order = schedule(z, det)
     # |z - tau| = [1.01, 0.19, 4.09] -> times [0.99, 5.26, 0.24]
     np.testing.assert_array_equal(order, [2, 0, 1])
     bits = (z > det.tau).astype(int)
@@ -54,19 +50,19 @@ def test_schedule_hand_trace():
 
 def test_schedule_tie_break_by_index():
     det = LocalDetector(0.5)  # tau = 0 exactly
-    order = schedule(obs([-2.0, 2.0, 1.0]), det)  # sensors 0 and 1 tie
+    order = schedule([-2.0, 2.0, 1.0], det)  # sensors 0 and 1 tie
     np.testing.assert_array_equal(order, [0, 1, 2])
 
 
 def test_schedule_single_sensor():
-    order = schedule(obs([5.0]), detector_near(1.0))
+    order = schedule([5.0], detector_near(1.0))
     np.testing.assert_array_equal(order, [0])
 
 
 def test_schedule_observation_at_threshold_goes_last():
     det = detector_near(1.0)
     # A zero gap never transmits on its own: its time is infinite.
-    order = schedule(obs([det.tau, 3.0, 0.5]), det)
+    order = schedule([det.tau, 3.0, 0.5], det)
     assert order[-1] == 0
 
 
@@ -74,7 +70,7 @@ def test_schedule_observation_at_threshold_goes_last():
 
 
 def test_run_stops_upper_hand_trace():
-    run = run_ordered_counting([1, 0, 1, 0, 0], 5, 1.5)
+    run = run_ordered_counting([1, 0, 1, 0, 0], 1.5)
     assert run.crossing is Crossing.UPPER
     assert run.decision is Hypothesis.H1
     assert run.k_transmitted == 3
@@ -82,7 +78,7 @@ def test_run_stops_upper_hand_trace():
 
 
 def test_run_stops_lower_hand_trace():
-    run = run_ordered_counting([0, 0, 0, 0, 0], 5, 1.5)
+    run = run_ordered_counting([0, 0, 0, 0, 0], 1.5)
     assert run.crossing is Crossing.LOWER
     assert run.decision is Hypothesis.H0
     assert run.k_transmitted == 4  # 0 < 1.5 - (5 - 4)
@@ -90,7 +86,7 @@ def test_run_stops_lower_hand_trace():
 
 
 def test_run_single_sensor_upper():
-    run = run_ordered_counting([1], 1, 0.5)
+    run = run_ordered_counting([1], 0.5)
     assert run.k_transmitted == 1
     assert run.crossing is Crossing.UPPER
     assert run.decision is Hypothesis.H1
@@ -98,7 +94,7 @@ def test_run_single_sensor_upper():
 
 def test_run_exhausted_on_integer_threshold():
     # Final count equals the integer threshold: neither strict test fires.
-    run = run_ordered_counting([1, 0, 1], 3, 2.0)
+    run = run_ordered_counting([1, 0, 1], 2.0)
     assert run.crossing is Crossing.EXHAUSTED
     assert run.k_transmitted == 3
     assert run.decision is Hypothesis.H0
@@ -106,12 +102,12 @@ def test_run_exhausted_on_integer_threshold():
 
 
 def test_run_validates_input():
-    with pytest.raises(ValueError):
-        run_ordered_counting([1, 0], 3, 1.0)
-    with pytest.raises(ValueError):
-        run_ordered_counting([2, 0, 0], 3, 1.0)
-    with pytest.raises(ValueError):
-        run_ordered_counting([], 0, 1.0)
+    with pytest.raises(ValueError, match="bits"):
+        run_ordered_counting([2, 0, 0], 1.0)
+    with pytest.raises(ValueError, match="nonempty vector"):
+        run_ordered_counting([], 1.0)
+    with pytest.raises(ValueError, match="nonempty vector"):
+        run_ordered_counting([[1, 0], [0, 1]], 1.0)
 
 
 def test_decision_equivalence_exhaustive_small():
@@ -120,7 +116,7 @@ def test_decision_equivalence_exhaustive_small():
         thresholds = [k - 0.5 for k in range(0, n + 2)]
         for bits in itertools.product((0, 1), repeat=n):
             for t in thresholds:
-                run = run_ordered_counting(list(bits), n, t)
+                run = run_ordered_counting(list(bits), t)
                 assert run.decision is counting_rule(list(bits), t)
 
 
@@ -133,7 +129,7 @@ def test_decision_equivalence_exhaustive_small():
 def test_decision_equivalence_random(n, rate, data):
     bits = [1 if data.draw(st.floats(0, 1)) < rate else 0 for _ in range(n)]
     t = data.draw(st.floats(min_value=-1.0, max_value=n + 1.0))
-    run = run_ordered_counting(bits, n, t)
+    run = run_ordered_counting(bits, t)
     assert run.decision is counting_rule(bits, t)
 
 
@@ -142,7 +138,7 @@ def test_decision_equivalence_random(n, rate, data):
 def test_stopping_minimality_and_savings(bits, data):
     n = len(bits)
     t = data.draw(st.floats(min_value=-1.0, max_value=n + 1.0))
-    run = run_ordered_counting(bits, n, t)
+    run = run_ordered_counting(bits, t)
     assert run.k_transmitted + (n - run.k_transmitted) == n
     saved = n - run.k_transmitted
     if run.crossing is Crossing.EXHAUSTED:
@@ -166,7 +162,7 @@ def test_stop_batch_matches_scalar_scan_exhaustive():
         for t in sorted({-2.5, -1.0, 0.0, 0.5, 1.0, n // 2, n / 2 + 0.3, n - 1.0, n, n + 1.5}):
             got = stop_batch(bits, t)
             for row, d in enumerate(bits):
-                ref = run_ordered_counting(d, n, t)
+                ref = run_ordered_counting(d, t)
                 assert got.k_transmitted[row] == ref.k_transmitted, (n, t, d)
                 assert CROSSINGS[got.crossing[row]] is ref.crossing, (n, t, d)
                 assert got.decision_h1[row] == (ref.decision is Hypothesis.H1), (n, t, d)
@@ -193,7 +189,7 @@ def test_arrival_order_matches_schedule_rows_with_ties():
     assert order.shape == z.shape
     for row in range(z.shape[0]):
         np.testing.assert_array_equal(order[row], reference_order(z[row], tau))
-        np.testing.assert_array_equal(order[row], schedule(obs(z[row]), det))
+        np.testing.assert_array_equal(order[row], schedule(z[row], det))
 
 
 def test_arrival_order_ties_on_equal_times_not_gaps():
@@ -202,7 +198,7 @@ def test_arrival_order_ties_on_equal_times_not_gaps():
     z = np.array([[g1, g2, 0.0, -g2, -g1]])
     order = arrival_order(z, 0.0)
     np.testing.assert_array_equal(order[0], [0, 1, 3, 4, 2])
-    np.testing.assert_array_equal(order[0], schedule(obs(z[0]), LocalDetector(0.5)))
+    np.testing.assert_array_equal(order[0], schedule(z[0], LocalDetector(0.5)))
 
 
 def assert_ordered_bits_match(z: np.ndarray, tau: float) -> None:
@@ -314,7 +310,7 @@ def test_ants_bounds_are_best_cases_exhaustive():
         for t in sorted({-2.5, -1.0, 0.0, 0.5, 1.0, n // 2, n / 2 + 0.3, n - 1.0, n, n + 1.5}):
             best = {Crossing.UPPER: None, Crossing.LOWER: None}
             for bits in vectors:
-                run = run_ordered_counting(bits, n, t)
+                run = run_ordered_counting(bits, t)
                 if run.crossing in best:
                     saved = n - run.k_transmitted
                     best[run.crossing] = max(saved, best[run.crossing] or 0)
@@ -330,7 +326,7 @@ def test_ants_bounds_are_best_cases_exhaustive():
 
 def test_lr_single_sensor_positive_llr():
     # Amplitude 2, observation 1.5: llr = 2*1.5 - 2 = 1 > 0 = ln((1-p)/p).
-    run = lr_schedule_and_run(obs([1.5], Hypothesis.H1), [2.0], 0.5, 1)
+    run = lr_schedule_and_run([1.5], [2.0], 0.5)
     assert run.decision is Hypothesis.H1
     assert run.k_transmitted == 1
     assert run.partial_sum == pytest.approx(1.0)
@@ -339,7 +335,7 @@ def test_lr_single_sensor_positive_llr():
 def test_lr_final_step_has_zero_slack():
     # llrs [1.0, -1.0, 0.4]: sums [1.0, 0.0, 0.4] never clear the slack
     # until k = n, where the slack vanishes and 0.4 > 0 decides H1.
-    run = lr_schedule_and_run(obs([1.5, -0.5, 0.9]), [1.0, 1.0, 1.0], 0.5, 3)
+    run = lr_schedule_and_run([1.5, -0.5, 0.9], [1.0, 1.0, 1.0], 0.5)
     assert run.k_transmitted == 3
     assert run.crossing is Crossing.UPPER
     assert run.decision is Hypothesis.H1
@@ -347,10 +343,33 @@ def test_lr_final_step_has_zero_slack():
 
 
 def test_lr_validates_inputs():
-    with pytest.raises(ValueError):
-        lr_schedule_and_run(obs([1.0, 2.0]), [1.0], 0.5, 2)
-    with pytest.raises(ValueError):
-        lr_schedule_and_run(obs([1.0]), [1.0], 0.0, 1)
+    with pytest.raises(ValueError, match="true_amplitudes"):
+        lr_schedule_and_run([1.0, 2.0], [1.0], 0.5)
+    with pytest.raises(ValueError, match="true_amplitudes"):
+        lr_schedule_and_run([1.0, 2.0], [1.0, 1.0, 1.0], 0.5)
+    with pytest.raises(ValueError, match="prior_p"):
+        lr_schedule_and_run([1.0], [1.0], 0.0)
+
+
+@pytest.mark.parametrize(
+    "z, message",
+    [
+        ([1.0, math.nan], "finite"),
+        ([math.inf, 0.5], "finite"),
+        ([-math.inf], "finite"),
+        ([[1.0, 2.0], [0.5, 0.25]], "nonempty vector"),
+        ([], "nonempty vector"),
+    ],
+    ids=["nan", "inf", "minus-inf", "2-d", "empty"],
+)
+def test_observations_checked_at_the_boundary(z, message):
+    # schedule and lr_schedule_and_run take z as a plain array and check
+    # it themselves: nonempty, one-dimensional and finite.
+    with pytest.raises(ValueError, match=message):
+        schedule(z, LocalDetector(0.5))
+    amps = np.ones(np.shape(z))
+    with pytest.raises(ValueError, match=message):
+        lr_schedule_and_run(z, amps, 0.5)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -362,13 +381,12 @@ def test_lr_matches_full_bayes_test(seed):
     for trial in range(400):
         n = int(rng.integers(1, 30))
         prior = float(rng.uniform(0.05, 0.95))
-        field = sample_field(n, roi, np.random.default_rng(rng.integers(2**32)))
-        amps = oracle_amplitudes(field, roi, model)
+        positions = sample_field(n, roi, np.random.default_rng(rng.integers(2**32)))
+        amps = oracle_amplitudes(positions, roi, model)
         hyp = Hypothesis.H1 if rng.random() < 0.5 else Hypothesis.H0
         noise = rng.standard_normal(n)
         z = amps + noise if hyp is Hypothesis.H1 else noise
-        observations = ObservationVector(z=z, hypothesis=hyp)
-        run = lr_schedule_and_run(observations, amps, prior, n)
+        run = lr_schedule_and_run(z, amps, prior)
         llr_sum = float(np.sum(amps * z - 0.5 * amps * amps))
         bayes = Hypothesis.H1 if llr_sum > math.log((1 - prior) / prior) else Hypothesis.H0
         assert run.decision is bayes
