@@ -39,7 +39,6 @@ from .fusion import (
     TheoryCurves,
     counting_rule,
     local_decisions,
-    local_pd,
     system_pfa_approx,
     system_threshold,
     theory_curves,
@@ -84,7 +83,6 @@ __all__ = [
     "generate_observations",
     "integrate",
     "local_decisions",
-    "local_pd",
     "lr_schedule_and_run",
     "monte_carlo",
     "oracle_amplitudes",

@@ -28,7 +28,7 @@ from .experiment import (
     sweep,
 )
 from .field import RoiConfig, SignalModel
-from .fusion import FusionConfig, OffCenterTargetError, system_pfa_approx, theory_curves
+from .fusion import OffCenterTargetError, system_pfa_approx, theory_curves
 from .ordering import ants_bounds
 
 EXIT_OK = 0
@@ -65,11 +65,11 @@ class ConfigError(ValueError):
     """Bad or missing configuration value; message names the field."""
 
 
-def _fmt(x: float) -> str:
-    """CSV number formatting: 9 significant digits, NaN as the NA sentinel."""
-    if isinstance(x, float) and math.isnan(x):
-        return "NA"
-    return format(x, ".9g")
+def _fmt(x: int | float) -> str:
+    """Number formatting: ints in full, reals to 9 significant digits, NaN as NA."""
+    if isinstance(x, int):
+        return str(x)
+    return "NA" if math.isnan(x) else format(x, ".9g")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -147,26 +147,9 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
 
 
 def _csv_row(config: ExperimentConfig, summary) -> str:
-    return ",".join(
-        [
-            str(config.n_sensors),
-            _fmt(config.model.p0),
-            _fmt(config.model.alpha),
-            _fmt(config.model.n_exp),
-            _fmt(config.local_pfa),
-            _fmt(config.system_pfa),
-            _fmt(config.likelihood_r),
-            str(config.n_trials),
-            str(config.master_seed),
-            _fmt(summary.ants_mean),
-            _fmt(summary.ants_stderr),
-            _fmt(summary.empirical_pd),
-            _fmt(summary.empirical_pfa),
-            str(summary.upper_count),
-            str(summary.lower_count),
-            str(summary.exhausted_count),
-        ]
-    )
+    """The values named by :data:`CSV_COLUMNS`, from the config, its model and the summary."""
+    values = {**vars(config), **vars(config.model), **vars(summary)}
+    return ",".join(_fmt(values[name]) for name in CSV_COLUMNS.split(","))
 
 
 def _write_manifest(
@@ -191,13 +174,12 @@ def _write_manifest(
 
 
 def _theory_rows(config: ExperimentConfig) -> list[tuple[str, str]]:
-    n, model, roi = config.n_sensors, config.model, config.roi
-    fus = FusionConfig(n, config.local_pfa, config.system_pfa)
+    n, model, roi, fus = config.n_sensors, config.model, config.roi, config.fusion
     t = fus.system_threshold_t
     curves = theory_curves(fus.detector, model, roi, n, t)
     bounds = ants_bounds(n, t, config.likelihood_r)
     return [
-        ("n_sensors", str(n)),
+        ("n_sensors", _fmt(n)),
         ("p0", _fmt(model.p0)),
         ("alpha", _fmt(model.alpha)),
         ("n_exp", _fmt(model.n_exp)),
@@ -248,9 +230,7 @@ def _parse_axis_values(axis: str, raw: str) -> list:
     if not items:
         raise ConfigError("values: expected a nonempty comma-separated list")
     try:
-        if axis == "n_sensors":
-            return [int(piece) for piece in items]
-        return [float(piece) for piece in items]
+        return [SWEEP_AXES[axis](piece) for piece in items]
     except ValueError as exc:
         raise ConfigError(f"values: could not parse {raw!r} for axis {axis!r}") from exc
 
@@ -263,10 +243,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
     lines = ["axis_value," + CSV_COLUMNS]
     for cell in cells:
-        axis_value = (
-            str(cell.axis_value) if args.axis == "n_sensors" else _fmt(cell.axis_value)
-        )
-        lines.append(axis_value + "," + _csv_row(cell.config, cell.summary))
+        lines.append(_fmt(cell.axis_value) + "," + _csv_row(cell.config, cell.summary))
     out.write_text("\n".join(lines) + "\n")
     _write_manifest(out, "sweep", settings, extra={"axis": args.axis, "values": args.values})
     print(f"wrote {out} ({len(cells)} rows)")
@@ -322,9 +299,6 @@ def main(argv=None) -> int:
     except (ConfigError, OffCenterTargetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

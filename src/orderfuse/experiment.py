@@ -11,8 +11,7 @@ integers), which makes the reduction order-independent by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +26,8 @@ from .field import generate_observations, sample_field  # noqa: F401
 from .fusion import counting_rule  # noqa: F401
 from .ordering import schedule  # noqa: F401
 
-SWEEP_AXES = ("n_sensors", "p0", "local_pfa", "likelihood_r")
+# Sweep axis -> the type its values are cast to.
+SWEEP_AXES = {"n_sensors": int, "p0": float, "local_pfa": float, "likelihood_r": float}
 
 _U64 = 1 << 64
 # Golden-ratio stride decorrelates per-cell seeds in sweeps; cell 0
@@ -37,7 +37,11 @@ _SEED_STRIDE = 0x9E3779B97F4A7C15
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full parameter set for one Monte Carlo run."""
+    """Full parameter set for one Monte Carlo run.
+
+    ``fusion``, the local threshold tau and the count threshold T, is
+    derived from (n_sensors, local_pfa, system_pfa), which it checks.
+    """
 
     n_sensors: int
     roi: RoiConfig
@@ -47,16 +51,15 @@ class ExperimentConfig:
     likelihood_r: float
     n_trials: int
     master_seed: int
+    fusion: FusionConfig = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n_sensors < 1:
             raise ValueError(f"n_sensors must be positive, got {self.n_sensors!r}")
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be positive, got {self.n_trials!r}")
-        if not 0.0 < self.local_pfa < 1.0:
-            raise ValueError(f"local_pfa must be in (0, 1), got {self.local_pfa!r}")
-        if not 0.0 < self.system_pfa < 1.0:
-            raise ValueError(f"system_pfa must be in (0, 1), got {self.system_pfa!r}")
+        fusion = FusionConfig(self.n_sensors, self.local_pfa, self.system_pfa)
+        object.__setattr__(self, "fusion", fusion)
         if not 0.0 <= self.likelihood_r <= 1.0:
             raise ValueError(f"likelihood_r must be in [0, 1], got {self.likelihood_r!r}")
         if not 0 <= self.master_seed < _U64:
@@ -103,9 +106,6 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """Counter-mode substream keyed by (master seed, trial index)."""
     key = np.array([master_seed, trial_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-_fusion_for = lru_cache(maxsize=128)(FusionConfig)
 
 
 # Trials per chunk times sensors. The arrays live for the whole run, so a
@@ -220,7 +220,7 @@ def _draw_chunk(
 
 
 def _run_chunk(
-    config: ExperimentConfig, fusion: FusionConfig, run: _RunState, start: int, stop: int
+    config: ExperimentConfig, run: _RunState, start: int, stop: int
 ) -> tuple[np.ndarray, StopBatch]:
     """Run trials ``start .. stop - 1`` as arrays, audited trial by trial.
 
@@ -231,9 +231,9 @@ def _run_chunk(
     m = stop - start
     h1, z = _draw_chunk(config, run, start, stop)
 
-    t = fusion.system_threshold_t
-    bits = local_decisions(z, fusion.detector, out=run.bits[:m])
-    ordered = ordered_bits(z, fusion.detector.tau, bits, out=run.ordered[:m])
+    det, t = config.fusion.detector, config.fusion.system_threshold_t
+    bits = local_decisions(z, det, out=run.bits[:m])
+    ordered = ordered_bits(z, det.tau, bits, out=run.ordered[:m])
     stops = stop_batch(ordered, t, out=run.counts[:m])
 
     diverged = np.flatnonzero(stops.decision_h1 != (bits.sum(axis=1) > t))
@@ -266,8 +266,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     if not 0 <= trial_index < config.n_trials:
         raise ValueError(f"trial_index {trial_index!r} outside [0, {config.n_trials})")
     n = config.n_sensors
-    fusion = _fusion_for(n, config.local_pfa, config.system_pfa)
-    h1, stops = _run_chunk(config, fusion, _RunState(n, 1), trial_index, trial_index + 1)
+    h1, stops = _run_chunk(config, _RunState(n, 1), trial_index, trial_index + 1)
     k = int(stops.k_transmitted[0])
     return TrialRecord(
         trial_index=trial_index,
@@ -284,13 +283,12 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
 
 def monte_carlo(config: ExperimentConfig) -> AntsSummary:
     """Run all trials chunk by chunk and aggregate in exact integers."""
-    fusion = _fusion_for(config.n_sensors, config.local_pfa, config.system_pfa)
     n, b = config.n_trials, _chunk_size(config.n_sensors)
     run = _RunState(config.n_sensors, min(b, n))
     saved_sum = saved_sq = h1_n = h1_hits = h0_hits = 0
     crossings = [0, 0, 0]
     for start in range(0, n, b):
-        h1, stops = _run_chunk(config, fusion, run, start, min(start + b, n))
+        h1, stops = _run_chunk(config, run, start, min(start + b, n))
         saved = config.n_sensors - stops.k_transmitted
         saved_sum += int(saved.sum())
         saved_sq += int((saved * saved).sum())
@@ -326,10 +324,10 @@ def cell_seed(master_seed: int, cell_index: int) -> int:
 
 def _with_axis_value(base: ExperimentConfig, axis: str, value, seed: int) -> ExperimentConfig:
     """``base`` with one axis of :data:`SWEEP_AXES` set; the caller checks ``axis``."""
+    value = SWEEP_AXES[axis](value)
     if axis == "p0":
-        return replace(base, model=replace(base.model, p0=float(value)), master_seed=seed)
-    cast = int if axis == "n_sensors" else float
-    return replace(base, **{axis: cast(value)}, master_seed=seed)
+        return replace(base, model=replace(base.model, p0=value), master_seed=seed)
+    return replace(base, **{axis: value}, master_seed=seed)
 
 
 def sweep(base: ExperimentConfig, axis: str, values) -> list[SweepCell]:

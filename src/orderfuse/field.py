@@ -34,6 +34,12 @@ class RoiConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.side_b) and self.side_b > 0):
             raise ValueError(f"side_b must be a positive real, got {self.side_b!r}")
+        # The theory divides by side_b**2.
+        if not math.isfinite(self.side_b * self.side_b):
+            raise ValueError(
+                f"side_b must have a finite square (at most 1.3407807929942596e154), "
+                f"got {self.side_b!r}"
+            )
         half = 0.5 * self.side_b
         if not (-half <= self.target_x <= half and -half <= self.target_y <= half):
             raise ValueError(
@@ -101,11 +107,14 @@ def signal_amplitude(model: SignalModel, d):
     """Signal amplitude at distance ``d``: sqrt(p0 / (1 + alpha * d**n_exp)).
 
     Accepts a scalar or an array of distances; a scalar returns a float.
+    Where ``alpha * d**n_exp`` overflows to inf the amplitude is 0, its
+    limit, without a warning.
     """
     d_arr = np.asarray(d, dtype=float)
     if np.any(d_arr < 0):
         raise ValueError("distance must be nonnegative")
-    amp = np.sqrt(model.p0 / (1.0 + model.alpha * d_arr**model.n_exp))
+    with np.errstate(over="ignore"):
+        amp = np.sqrt(model.p0 / (1.0 + model.alpha * d_arr**model.n_exp))
     return float(amp) if d_arr.ndim == 0 else amp
 
 

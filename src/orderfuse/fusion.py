@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field import Hypothesis, RoiConfig, SignalModel, scalar_amplitude, signal_amplitude
+from .field import Hypothesis, RoiConfig, SignalModel, scalar_amplitude
 from .statmath import _SQRT2, integrate, q_function, q_inverse
 
 _CORNER_WEIGHT = 1.0 - math.pi / 4.0
@@ -96,11 +96,6 @@ def threshold_from_local_pfa(local_pfa: float) -> LocalDetector:
     return LocalDetector(float(local_pfa))
 
 
-def local_pd(det: LocalDetector, model: SignalModel, d: float) -> float:
-    """Detection probability of one sensor at distance ``d`` from the target."""
-    return q_function(det.tau - signal_amplitude(model, float(d)))
-
-
 def local_decisions(z, det: LocalDetector, out: np.ndarray | None = None) -> np.ndarray:
     """One-bit local decisions; the tie z == tau decides 0 (open upper tail).
 
@@ -150,9 +145,13 @@ def system_threshold(n: int, local_pfa: float, system_pfa: float) -> float:
     else:
         return t
     # Point the warning at the first caller outside this package, not at
-    # FusionConfig or the CLI that built the threshold on its behalf.
+    # FusionConfig, an ExperimentConfig (or dataclasses.replace of one) or
+    # the CLI that built the threshold on its behalf.
     frame, level = sys._getframe(1), 2
-    while frame is not None and frame.f_globals.get("__package__") == __package__:
+    while frame is not None and (
+        frame.f_globals.get("__package__") == __package__
+        or frame.f_globals.get("__name__") == "dataclasses"
+    ):
         frame, level = frame.f_back, level + 1
     warnings.warn(message, RuntimeWarning, stacklevel=level)
     return t

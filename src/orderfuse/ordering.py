@@ -66,16 +66,11 @@ class StoppedRun:
 
 @dataclass(frozen=True)
 class AntsBounds:
-    """Best-case transmissions saved, by stop case, weighted by likelihood.
-
-    ``likelihood_r`` is the fraction of runs with the target present; it
-    characterizes savings only and never enters any detector.
-    """
+    """Best-case transmissions saved, by stop case, weighted by likelihood."""
 
     upper_case_bound: float
     lower_case_bound: float
     combined: float
-    likelihood_r: float
 
 
 def _transmit_times(z: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -225,6 +220,9 @@ def stop_batch(ordered_decisions: np.ndarray, t: float, out: np.ndarray | None =
 def ants_bounds(n: int, t: float, r: float) -> AntsBounds:
     """Best-case transmissions saved at threshold ``t``, by stop case.
 
+    ``r`` is the fraction of runs with the target present; it weights
+    the savings only and never enters any detector.
+
     An upper stop needs a count above ``t``, so at least
     max(1, floor(t) + 1) arrivals: it saves at most
     n - max(1, floor(t) + 1), weighted by r (0 when no upper stop is
@@ -249,7 +247,6 @@ def ants_bounds(n: int, t: float, r: float) -> AntsBounds:
         upper_case_bound=upper_case,
         lower_case_bound=lower_case,
         combined=upper_case + lower_case,
-        likelihood_r=r,
     )
 
 

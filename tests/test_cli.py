@@ -75,6 +75,36 @@ def test_sweep_golden_schema(tmp_path):
     assert lines[2].split(",")[9] != "5"
 
 
+# Frozen sweep rows along an int axis and a real axis: the axis value
+# and every column, cell seeds included.
+GOLDEN_SWEEPS = {
+    ("--n-sensors", "100", "--p0", "100000", "--trials", "50", "--seed", "42",
+     "--axis", "n_sensors", "--values", "20,50,100"): (
+        "20,20,100000,0.02,2,0.001,0.001,0.5,50,42,9.5,1.35714286,1,0.04,26,24,0\n"
+        "50,50,100000,0.02,2,0.001,0.001,0.5,50,11400714819323198527,"
+        "33.32,3.26533306,1,0,34,16,0\n"
+        "100,100,100000,0.02,2,0.001,0.001,0.5,50,4354685564936845396,"
+        "49.5,6.92857143,1,0,25,25,0\n"
+    ),
+    ("--n-sensors", "50", "--p0", "100", "--trials", "200", "--seed", "9",
+     "--axis", "local_pfa", "--values", "0.001,0.01,0.05"): (
+        "0.001,50,100,0.02,2,0.001,0.001,0.5,200,9,23.48,1.66077962,1,0.0816326531,110,90,0\n"
+        "0.01,50,100,0.02,2,0.01,0.001,0.5,200,11400714819323198494,"
+        "22.06,1.53094775,1,0.0188679245,96,104,0\n"
+        "0.05,50,100,0.02,2,0.05,0.001,0.5,200,4354685564936845363,"
+        "22.43,1.2166663,1,0.00961538462,97,103,0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_SWEEPS), ids=["n_sensors", "local_pfa"])
+def test_sweep_golden_rows(tmp_path, args):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *args, "--out", str(out)]) == 0
+    expected = "axis_value," + CSV_COLUMNS + "\n" + GOLDEN_SWEEPS[args]
+    assert out.read_bytes() == expected.encode()
+
+
 def test_sweep_rerun_byte_identical(tmp_path):
     args = ["sweep", "--n-sensors", "50", "--p0", "100", "--trials", "30", "--seed", "9",
             "--axis", "likelihood_r", "--values", "0,0.5,1"]
@@ -204,6 +234,30 @@ def test_theory_huge_roi_runs_without_overflow_warning(tmp_path, n_exp):
               "0.001 0.001 0.000999 0.001 0.001 9.5 0 9.5").split()
     rows = "".join(f"{k},{v}\n" for k, v in zip(THEORY_QUANTITIES, values, strict=True))
     assert out.read_bytes() == ("quantity,value\n" + rows).encode()
+
+
+@pytest.mark.parametrize("command", ["theory", "simulate"])
+def test_roi_side_with_infinite_square_exits_2(tmp_path, capsys, command):
+    # side_b**2 overflows above 1.3407807929942596e154; theory used to
+    # exit 1 there, or refine its quadrature to full depth for minutes.
+    out = tmp_path / "x.csv"
+    code = main([command, "--n-sensors", "20", "--p0", "100", "--roi-b", "1e300",
+                 "--trials", "10", "--out", str(out)])
+    assert code == 2
+    assert "roi_b" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_huge_roi_runs_without_overflow_warning(tmp_path):
+    # At n_exp = 3, d**3 overflows for sensor distances above about
+    # 5.6e102; the amplitude there is 0, its limit, and no warning is printed.
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--n-sensors", "20", "--p0", "100", "--roi-b", "1e120",
+            "--decay-exp", "3", "--trials", "200", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert out.read_text().splitlines()[1].startswith("20,100,0.02,3,")
 
 
 # ── one parser per process ──────────────────────────────────────────

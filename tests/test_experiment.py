@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from orderfuse import experiment
 from orderfuse.experiment import (
     _SKIP_FROM_N,
+    SWEEP_AXES,
     AntsSummary,
     ExperimentConfig,
     TrialRecord,
@@ -58,6 +59,35 @@ def test_config_validation():
         make_config(master_seed=-1)
     with pytest.raises(ValueError):
         make_config(master_seed=1 << 64)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"local_pfa": 0.0}, "local_pfa must be in (0, 1), got 0.0"),
+        ({"local_pfa": 1.5}, "local_pfa must be in (0, 1), got 1.5"),
+        ({"system_pfa": 1.0}, "system_pfa must be in (0, 1), got 1.0"),
+        ({"system_pfa": -0.5}, "system_pfa must be in (0, 1), got -0.5"),
+        # Both bad: local_pfa is checked first.
+        ({"local_pfa": 2.0, "system_pfa": 2.0}, "local_pfa must be in (0, 1), got 2.0"),
+        # The counts are checked before the rates, the rates before r and the seed.
+        ({"n_sensors": 0, "local_pfa": 2.0}, "n_sensors must be positive, got 0"),
+        ({"n_trials": 0, "system_pfa": 2.0}, "n_trials must be positive, got 0"),
+        ({"system_pfa": 2.0, "likelihood_r": 2.0}, "system_pfa must be in (0, 1), got 2.0"),
+        ({"local_pfa": 2.0, "master_seed": -1}, "local_pfa must be in (0, 1), got 2.0"),
+    ],
+)
+def test_config_rate_messages(overrides, message):
+    with pytest.raises(ValueError) as info:
+        make_config(**overrides)
+    assert str(info.value) == message
+
+
+def test_config_derives_fusion():
+    config = make_config(n_sensors=40, local_pfa=0.05, system_pfa=0.01)
+    assert config.fusion == FusionConfig(40, 0.05, 0.01)
+    with pytest.raises(TypeError):
+        make_config(fusion=FusionConfig(40, 0.05, 0.01))
 
 
 # ── per-trial substreams ────────────────────────────────────────────
@@ -167,11 +197,10 @@ def test_run_trial_bounds():
 def test_trial_equivalence_audit_holds():
     # Every early decision equals the counting rule over all N bits.
     config = make_config(n_trials=200)
-    fusion = FusionConfig(config.n_sensors, config.local_pfa, config.system_pfa)
     for i in range(200):
         rec = run_trial(config, i)
-        _, _, bits = reference_draws(config, fusion, i)
-        assert rec.stopped.decision is counting_rule(bits, fusion.system_threshold_t)
+        _, _, bits = reference_draws(config, i)
+        assert rec.stopped.decision is counting_rule(bits, config.fusion.system_threshold_t)
         assert rec.transmissions_saved == config.n_sensors - rec.stopped.k_transmitted
 
 
@@ -242,20 +271,20 @@ def test_stderr_matches_numpy_reference():
 # ── batched kernel against the per-trial pipeline ───────────────────
 
 
-def reference_draws(config: ExperimentConfig, fusion: FusionConfig, trial_index: int):
+def reference_draws(config: ExperimentConfig, trial_index: int):
     """Hypothesis, observations and local bits of one trial, from its own stream."""
     rng = trial_rng(config.master_seed, trial_index)
     hyp = Hypothesis.H1 if rng.random() < config.likelihood_r else Hypothesis.H0
     positions = sample_field(config.n_sensors, config.roi, rng)
     z = generate_observations(positions, config.roi, config.model, hyp, rng)
-    return hyp, z, local_decisions(z, fusion.detector)
+    return hyp, z, local_decisions(z, config.fusion.detector)
 
 
-def reference_trial(config: ExperimentConfig, fusion: FusionConfig, trial_index: int) -> TrialRecord:
+def reference_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     """One trial through the per-trial object pipeline, from its own stream."""
-    t = fusion.system_threshold_t
-    hyp, z, bits = reference_draws(config, fusion, trial_index)
-    stopped = run_ordered_counting(bits[schedule(z, fusion.detector)], t)
+    t = config.fusion.system_threshold_t
+    hyp, z, bits = reference_draws(config, trial_index)
+    stopped = run_ordered_counting(bits[schedule(z, config.fusion.detector)], t)
     assert stopped.decision is counting_rule(bits, t)
     return TrialRecord(
         trial_index=trial_index,
@@ -309,8 +338,7 @@ def test_chunked_kernel_equals_per_trial_pipeline(n_sensors, likelihood_r, monke
         n_trials=2 * _chunk_size(n_sensors) + 3,
         master_seed=31 + n_sensors,
     )
-    fusion = FusionConfig(n_sensors, config.local_pfa, config.system_pfa)
-    records = [reference_trial(config, fusion, i) for i in range(config.n_trials)]
+    records = [reference_trial(config, i) for i in range(config.n_trials)]
     expected = reference_summary(records)
     if likelihood_r == 0.5:
         assert expected.upper_count and expected.lower_count
@@ -345,11 +373,10 @@ def test_scalar_replay_covers_every_multiple_of_the_old_chunk(n_sensors, monkeyp
 
     monkeypatch.setattr(experiment, "run_ordered_counting", recording)
     monte_carlo(config)
-    fusion = FusionConfig(n_sensors, config.local_pfa, config.system_pfa)
     expected = []
     for i in range(0, config.n_trials, stride):
-        _, z, bits = reference_draws(config, fusion, i)
-        expected.append(bits[schedule(z, fusion.detector)])
+        _, z, bits = reference_draws(config, i)
+        expected.append(bits[schedule(z, config.fusion.detector)])
     assert len(replayed) == len(expected) == -(-config.n_trials // stride)
     for got, want in zip(replayed, expected):
         assert np.array_equal(got, want)
@@ -402,6 +429,27 @@ def test_sweep_over_n_sensors_tracks_half_n():
     for cell in cells:
         n = cell.config.n_sensors
         assert 0.45 <= cell.summary.ants_mean / n <= 0.52
+
+
+@pytest.mark.parametrize(
+    "axis, values",
+    [
+        ("n_sensors", [20, 50.0, 7]),
+        ("p0", [10, 2e3]),
+        ("local_pfa", [0.05, 1e-4]),
+        ("likelihood_r", [0, 1.0]),
+    ],
+)
+def test_sweep_cells_rederive_fusion(axis, values):
+    # replace() runs __post_init__ again, so each cell's thresholds come
+    # from its own (n_sensors, local_pfa, system_pfa), and every axis
+    # value is cast to its SWEEP_AXES type.
+    cells = sweep(make_config(n_trials=5), axis, values)
+    for cell, value in zip(cells, values, strict=True):
+        cfg = cell.config
+        assert cfg.fusion == FusionConfig(cfg.n_sensors, cfg.local_pfa, cfg.system_pfa)
+        got = cfg.model.p0 if axis == "p0" else getattr(cfg, axis)
+        assert type(got) is SWEEP_AXES[axis] and got == value
 
 
 def test_sweep_orders_rows_as_given():

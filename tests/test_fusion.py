@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orderfuse.experiment import ExperimentConfig
 from orderfuse.field import Hypothesis, RoiConfig, SignalModel, signal_amplitude
 from orderfuse.fusion import (
     FusionConfig,
@@ -15,7 +17,6 @@ from orderfuse.fusion import (
     OffCenterTargetError,
     counting_rule,
     local_decisions,
-    local_pd,
     system_pfa_approx,
     system_threshold,
     theory_curves,
@@ -66,48 +67,6 @@ def test_detector_consistency_enforced():
         assert det.tau == pytest.approx(q_inverse_bisect(pfa), abs=1e-9)
     with pytest.raises(TypeError):
         LocalDetector(tau=1.0, local_pfa=0.5)
-
-
-# ── local_pd ────────────────────────────────────────────────────────
-
-
-def test_local_pd_reduces_to_pfa_without_signal():
-    det = threshold_from_local_pfa(1e-3)
-    model = SignalModel(p0=0.0, alpha=0.02)
-    assert local_pd(det, model, 25.0) == pytest.approx(det.local_pfa, rel=1e-9)
-
-
-def test_local_pd_saturates_at_high_power():
-    det = threshold_from_local_pfa(1e-3)
-    model = SignalModel(p0=1e6, alpha=0.02)
-    assert local_pd(det, model, 0.0) > 1.0 - 1e-12
-
-
-def test_local_pd_example_value():
-    # Oracle: Q(3.090232 - sqrt(100/3)) = Q(-2.68327...) ~ 0.99635.
-    det = threshold_from_local_pfa(1e-3)
-    model = SignalModel(p0=100.0, alpha=0.02, n_exp=2.0)
-    expected = q_oracle(det.tau - math.sqrt(100.0 / 3.0))
-    assert local_pd(det, model, 10.0) == pytest.approx(expected, rel=1e-12)
-    assert local_pd(det, model, 10.0) == pytest.approx(0.99635, abs=1e-5)
-
-
-@given(
-    st.floats(min_value=0.0, max_value=80.0),
-    st.floats(min_value=0.0, max_value=80.0),
-    st.floats(min_value=0.1, max_value=1e4),
-    st.floats(min_value=0.1, max_value=1e4),
-)
-@settings(max_examples=100)
-def test_local_pd_monotone(d1, d2, p0_1, p0_2):
-    det = threshold_from_local_pfa(1e-2)
-    lo_d, hi_d = min(d1, d2), max(d1, d2)
-    model = SignalModel(p0=p0_1, alpha=0.02)
-    assert local_pd(det, model, lo_d) >= local_pd(det, model, hi_d)
-    lo_p, hi_p = min(p0_1, p0_2), max(p0_1, p0_2)
-    assert local_pd(det, SignalModel(p0=hi_p, alpha=0.02), 10.0) >= local_pd(
-        det, SignalModel(p0=lo_p, alpha=0.02), 10.0
-    )
 
 
 # ── local_decisions / counting_rule ─────────────────────────────────
@@ -168,10 +127,20 @@ def test_system_threshold_degenerate_warnings():
         assert system_threshold(50, 0.9, 1e-3) >= 50
 
 
+def _experiment_config(system_pfa: float) -> ExperimentConfig:
+    return ExperimentConfig(10, RoiConfig(100.0), SignalModel(1.0, 0.02), 1e-6, system_pfa, 0.5, 1, 0)
+
+
 @pytest.mark.parametrize(
     "build",
-    [lambda: system_threshold(10, 1e-6, 0.9), lambda: FusionConfig(10, 1e-6, 0.9)],
-    ids=["system_threshold", "FusionConfig"],
+    [
+        lambda: system_threshold(10, 1e-6, 0.9),
+        lambda: FusionConfig(10, 1e-6, 0.9),
+        lambda: _experiment_config(0.9),
+        # A sweep cell is built by dataclasses.replace, outside the package.
+        lambda: replace(_experiment_config(1e-3), system_pfa=0.9),
+    ],
+    ids=["system_threshold", "FusionConfig", "ExperimentConfig", "replace"],
 )
 def test_degenerate_threshold_warning_names_the_caller(build):
     with warnings.catch_warnings(record=True) as rec:
