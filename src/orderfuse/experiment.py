@@ -17,7 +17,7 @@ import numpy as np
 
 from .field import Hypothesis, RoiConfig, SignalModel, signal_amplitude
 from .fusion import FusionConfig, local_decisions
-from .ordering import CROSSINGS, StopBatch, StoppedRun, ordered_bits, run_ordered_counting, stop_batch
+from .ordering import StopBatch, StoppedRun, ordered_bits, run_ordered_counting, stop_batch
 
 # No caller here, but these names stay bound: the benchmark's tracer
 # (bench/tracing.py) patches them in this module and fails when one is
@@ -97,7 +97,7 @@ class AntsSummary:
 class SweepCell:
     """One sweep cell: the axis value, the resolved config, and its summary."""
 
-    axis_value: float
+    axis_value: int | float
     config: ExperimentConfig
     summary: AntsSummary
 
@@ -244,13 +244,7 @@ def _run_chunk(
     stride = run.replay_stride
     for i in range(-(-start // stride) * stride, stop, stride):
         j = i - start
-        ref = run_ordered_counting(ordered[j], t)
-        if (ref.k_transmitted, ref.crossing, ref.decision is Hypothesis.H1, ref.partial_sum) != (
-            stops.k_transmitted[j],
-            CROSSINGS[stops.crossing[j]],
-            stops.decision_h1[j],
-            stops.partial_sum[j],
-        ):
+        if run_ordered_counting(ordered[j], t) != stops.row(j):
             raise RuntimeError(f"batched stop scan diverged from the scalar scan at trial {i}")
     return h1, stops
 
@@ -267,17 +261,12 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         raise ValueError(f"trial_index {trial_index!r} outside [0, {config.n_trials})")
     n = config.n_sensors
     h1, stops = _run_chunk(config, _RunState(n, 1), trial_index, trial_index + 1)
-    k = int(stops.k_transmitted[0])
+    stopped = stops.row(0)
     return TrialRecord(
         trial_index=trial_index,
         hypothesis=Hypothesis.H1 if h1[0] else Hypothesis.H0,
-        stopped=StoppedRun(
-            k_transmitted=k,
-            decision=Hypothesis.H1 if stops.decision_h1[0] else Hypothesis.H0,
-            crossing=CROSSINGS[stops.crossing[0]],
-            partial_sum=int(stops.partial_sum[0]),
-        ),
-        transmissions_saved=n - k,
+        stopped=stopped,
+        transmissions_saved=n - stopped.k_transmitted,
     )
 
 
@@ -322,16 +311,12 @@ def cell_seed(master_seed: int, cell_index: int) -> int:
     return (master_seed + cell_index * _SEED_STRIDE) % _U64
 
 
-def _with_axis_value(base: ExperimentConfig, axis: str, value, seed: int) -> ExperimentConfig:
-    """``base`` with one axis of :data:`SWEEP_AXES` set; the caller checks ``axis``."""
-    value = SWEEP_AXES[axis](value)
-    if axis == "p0":
-        return replace(base, model=replace(base.model, p0=value), master_seed=seed)
-    return replace(base, **{axis: value}, master_seed=seed)
-
-
 def sweep(base: ExperimentConfig, axis: str, values) -> list[SweepCell]:
-    """One Monte Carlo run per axis value, with per-cell derived seeds."""
+    """One Monte Carlo run per axis value, with per-cell derived seeds.
+
+    Each value is cast once by its :data:`SWEEP_AXES` type; the cell
+    keeps the cast value it ran.
+    """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
     values = list(values)
@@ -339,6 +324,11 @@ def sweep(base: ExperimentConfig, axis: str, values) -> list[SweepCell]:
         raise ValueError("sweep values must be nonempty")
     cells = []
     for i, value in enumerate(values):
-        cfg = _with_axis_value(base, axis, value, cell_seed(base.master_seed, i))
+        value = SWEEP_AXES[axis](value)
+        seed = cell_seed(base.master_seed, i)
+        if axis == "p0":
+            cfg = replace(base, model=replace(base.model, p0=value), master_seed=seed)
+        else:
+            cfg = replace(base, **{axis: value}, master_seed=seed)
         cells.append(SweepCell(axis_value=value, config=cfg, summary=monte_carlo(cfg)))
     return cells

@@ -153,6 +153,15 @@ class StopBatch(NamedTuple):
     decision_h1: np.ndarray
     partial_sum: np.ndarray
 
+    def row(self, j: int) -> StoppedRun:
+        """Row ``j`` as the :class:`StoppedRun` that :func:`run_ordered_counting` returns."""
+        return StoppedRun(
+            int(self.k_transmitted[j]),
+            Hypothesis.H1 if self.decision_h1[j] else Hypothesis.H0,
+            CROSSINGS[self.crossing[j]],
+            int(self.partial_sum[j]),
+        )
+
 
 CROSSINGS = (Crossing.UPPER, Crossing.LOWER, Crossing.EXHAUSTED)
 

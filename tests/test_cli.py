@@ -123,6 +123,23 @@ def test_theory_default_threshold(capsys):
     assert float(table["tau"]) == pytest.approx(3.090232, abs=1e-6)
 
 
+def test_theory_even_local_pfa_prints_positive_zero_tau(capsys):
+    table = run_theory_table(["--n-sensors", "100", "--p0", "200", "--local-pfa", "0.5"], capsys)
+    assert table["tau"] == "0"
+
+
+def test_theory_deep_system_pfa_threshold(capsys):
+    # T = Q^-1(1e-100) * sqrt(1000 * 0.05 * 0.95) + 50, with
+    # Q^-1(1e-100) = 21.2734536; the Gaussian approximation at that T
+    # must give back the requested system pfa.
+    table = run_theory_table(
+        ["--n-sensors", "1000", "--p0", "100", "--local-pfa", "0.05", "--system-pfa", "1e-100"],
+        capsys,
+    )
+    assert table["system_threshold_t"] == "196.617161"
+    assert table["theory_pfa"] == "1e-100"
+
+
 def test_theory_no_signal_pd_equals_pfa(capsys):
     table = run_theory_table(["--n-sensors", "100", "--p0", "0"], capsys)
     assert table["theory_pd"] == table["theory_pfa"]

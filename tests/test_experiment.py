@@ -452,6 +452,14 @@ def test_sweep_cells_rederive_fusion(axis, values):
         assert type(got) is SWEEP_AXES[axis] and got == value
 
 
+def test_sweep_cell_reports_the_cast_value_it_ran():
+    (cell,) = sweep(make_config(n_trials=5), "n_sensors", [50.7])
+    assert cell.config.n_sensors == 50
+    assert type(cell.axis_value) is int and cell.axis_value == 50
+    (cell,) = sweep(make_config(n_trials=5), "local_pfa", ["0.01"])
+    assert type(cell.axis_value) is float and cell.axis_value == cell.config.local_pfa == 0.01
+
+
 def test_sweep_orders_rows_as_given():
     cells = sweep(make_config(n_trials=50), "likelihood_r", [0.9, 0.1])
     assert [c.axis_value for c in cells] == [0.9, 0.1]

@@ -167,6 +167,7 @@ def test_stop_batch_matches_scalar_scan_exhaustive():
                 assert CROSSINGS[got.crossing[row]] is ref.crossing, (n, t, d)
                 assert got.decision_h1[row] == (ref.decision is Hypothesis.H1), (n, t, d)
                 assert got.partial_sum[row] == ref.partial_sum, (n, t, d)
+                assert got.row(row) == ref, (n, t, d)
 
 
 def _reciprocal_collision() -> tuple[float, float]:
