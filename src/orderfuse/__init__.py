@@ -14,6 +14,7 @@ from .experiment import (
     AntsSummary,
     ExperimentConfig,
     SweepCell,
+    SweepValueError,
     SWEEP_AXES,
     TrialRecord,
     cell_seed,
@@ -74,6 +75,7 @@ __all__ = [
     "SignalModel",
     "StoppedRun",
     "SweepCell",
+    "SweepValueError",
     "SWEEP_AXES",
     "TheoryCurves",
     "TrialRecord",

@@ -24,6 +24,7 @@ from . import __version__
 from .experiment import (
     SWEEP_AXES,
     ExperimentConfig,
+    SweepValueError,
     monte_carlo,
     sweep,
 )
@@ -296,7 +297,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ConfigError, OffCenterTargetError) as exc:
+    except (ConfigError, OffCenterTargetError, SweepValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - CLI boundary

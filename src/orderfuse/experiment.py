@@ -93,6 +93,10 @@ class AntsSummary:
     exhausted_count: int
 
 
+class SweepValueError(ValueError):
+    """A sweep value that gives no valid cell config; names the axis."""
+
+
 @dataclass(frozen=True)
 class SweepCell:
     """One sweep cell: the axis value, the resolved config, and its summary."""
@@ -315,7 +319,9 @@ def sweep(base: ExperimentConfig, axis: str, values) -> list[SweepCell]:
     """One Monte Carlo run per axis value, with per-cell derived seeds.
 
     Each value is cast once by its :data:`SWEEP_AXES` type; the cell
-    keeps the cast value it ran.
+    keeps the cast value it ran. Every cell's config is built before
+    any cell runs, so a bad value raises :class:`SweepValueError` before
+    any Monte Carlo work.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
@@ -323,12 +329,15 @@ def sweep(base: ExperimentConfig, axis: str, values) -> list[SweepCell]:
     if not values:
         raise ValueError("sweep values must be nonempty")
     cells = []
-    for i, value in enumerate(values):
-        value = SWEEP_AXES[axis](value)
+    for i, raw in enumerate(values):
         seed = cell_seed(base.master_seed, i)
-        if axis == "p0":
-            cfg = replace(base, model=replace(base.model, p0=value), master_seed=seed)
-        else:
-            cfg = replace(base, **{axis: value}, master_seed=seed)
-        cells.append(SweepCell(axis_value=value, config=cfg, summary=monte_carlo(cfg)))
-    return cells
+        try:
+            value = SWEEP_AXES[axis](raw)
+            if axis == "p0":
+                cfg = replace(base, model=replace(base.model, p0=value), master_seed=seed)
+            else:
+                cfg = replace(base, **{axis: value}, master_seed=seed)
+        except ValueError as exc:
+            raise SweepValueError(f"{axis}: sweep value {raw!r}: {exc}") from exc
+        cells.append((value, cfg))
+    return [SweepCell(axis_value=v, config=cfg, summary=monte_carlo(cfg)) for v, cfg in cells]

@@ -34,10 +34,17 @@ class RoiConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.side_b) and self.side_b > 0):
             raise ValueError(f"side_b must be a positive real, got {self.side_b!r}")
-        # The theory divides by side_b**2.
-        if not math.isfinite(self.side_b * self.side_b):
+        # The theory weights its disc integral by 2*pi/side_b**2, so both
+        # the square and that weight must be finite.
+        square = self.side_b * self.side_b
+        if not math.isfinite(square):
             raise ValueError(
                 f"side_b must have a finite square (at most 1.3407807929942596e154), "
+                f"got {self.side_b!r}"
+            )
+        if not (square > 0.0 and math.isfinite(2.0 * math.pi / square)):
+            raise ValueError(
+                f"side_b must keep 2*pi/side_b**2 finite (at least 1.869528775865849e-154), "
                 f"got {self.side_b!r}"
             )
         half = 0.5 * self.side_b

@@ -195,27 +195,25 @@ def theory_curves(
     amp = scalar_amplitude(model)
     erfc = math.erfc
 
-    # Both integrands inline Q(x) = 0.5 * erfc(x / sqrt(2)) with the
-    # arithmetic of q_function. Every node is finite without its checks:
-    # r lies in [0, b/2] and the validated model bounds the amplitude.
-    def pd_integrand(r: float) -> float:
-        return 0.5 * erfc((tau - amp(r)) / _SQRT2) * r
-
-    def var_integrand(r: float) -> float:
-        # p * (1 - p) with the miss probability 1 - p taken from its own
-        # tail: near p = 1, 1 - p is rounding noise that no relative
-        # tolerance can resolve.
+    # One quadrature pass integrates p * r and p * (1 - p) * r, with
+    # Q(x) = 0.5 * erfc(x / sqrt(2)) inlined with the arithmetic of
+    # q_function. The miss probability 1 - p is taken from its own tail:
+    # near p = 1, 1 - p by subtraction is rounding noise that no relative
+    # tolerance can resolve. Every node is finite without q_function's
+    # checks: r lies in [0, b/2] and the validated model bounds the
+    # amplitude.
+    def integrand(r: float) -> tuple[float, float]:
         x = tau - amp(r)
-        return 0.5 * erfc(x / _SQRT2) * (0.5 * erfc(-x / _SQRT2)) * r
+        p = 0.5 * erfc(x / _SQRT2)
+        return p * r, p * (0.5 * erfc(-x / _SQRT2)) * r
 
     # Off n_exp = 2, d**n_exp at a huge distance overflows to inf in
     # numpy's power, which warns; the amplitude 0 it gives is the limit.
     with np.errstate(over="ignore"):
         x_corner = tau - amp(math.sqrt(2.0) * half)
-        i_pd = integrate(pd_integrand, 0.0, half)
-        i_var = integrate(var_integrand, 0.0, half)
+        i_pd, i_var = integrate(integrand, 0.0, half)
     # Detection rate at the worst corner, and its miss rate from its own
-    # tail, as in var_integrand.
+    # tail, as in the integrand.
     gamma = q_function(x_corner)
     disc_weight = 2.0 * math.pi / roi.side_b**2
     pd_bar = disc_weight * i_pd + _CORNER_WEIGHT * gamma

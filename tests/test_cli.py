@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from orderfuse import experiment
 from orderfuse.cli import CSV_COLUMNS, build_parser, main
 
 # Frozen golden output for a fixed tiny run (seed 42, 50 trials). Any
@@ -253,16 +254,37 @@ def test_theory_huge_roi_runs_without_overflow_warning(tmp_path, n_exp):
     assert out.read_bytes() == ("quantity,value\n" + rows).encode()
 
 
-@pytest.mark.parametrize("command", ["theory", "simulate"])
-def test_roi_side_with_infinite_square_exits_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, roi_b", [
+    pytest.param("theory", "1e300", id="theory"),
+    pytest.param("simulate", "1e300", id="simulate"),
+    pytest.param("theory", "1e-200", id="theory-1e-200"),
+    pytest.param("theory", "1e-160", id="theory-1e-160"),
+    pytest.param("theory", "1.5e-154", id="theory-1.5e-154"),
+    pytest.param("theory", "1.8695287758658488e-154", id="theory-below-smallest"),
+    pytest.param("simulate", "1e-200", id="simulate-1e-200"),
+])
+def test_roi_side_with_infinite_square_exits_2(tmp_path, capsys, command, roi_b):
     # side_b**2 overflows above 1.3407807929942596e154; theory used to
     # exit 1 there, or refine its quadrature to full depth for minutes.
+    # Below 1.869528775865849e-154 the disc weight 2*pi/side_b**2
+    # overflows (or side_b**2 underflows to 0), and theory exited 1.
     out = tmp_path / "x.csv"
-    code = main([command, "--n-sensors", "20", "--p0", "100", "--roi-b", "1e300",
+    code = main([command, "--n-sensors", "20", "--p0", "100", "--roi-b", roi_b,
                  "--trials", "10", "--out", str(out)])
     assert code == 2
     assert "roi_b" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_theory_at_smallest_roi_side_prints_finite_rows(tmp_path):
+    # The smallest side whose disc weight 2*pi/side_b**2 is finite: every
+    # sensor sits at the target, so pd_bar is the detection rate there.
+    out = tmp_path / "t.csv"
+    assert main(["theory", "--n-sensors", "20", "--p0", "10",
+                 "--roi-b", "1.869528775865849e-154", "--out", str(out)]) == 0
+    rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+    assert all(math.isfinite(float(v)) for v in rows.values())
+    assert rows["pd_bar"] == rows["gamma"] == "0.528717093"
 
 
 def test_simulate_huge_roi_runs_without_overflow_warning(tmp_path):
@@ -340,6 +362,23 @@ def test_unknown_axis_exits_2(tmp_path):
     code = main(["sweep", "--n-sensors", "10", "--p0", "1", "--axis", "tau",
                  "--values", "1", "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("n_sensors", "20,0"), ("local_pfa", "0.01,1.5"), ("p0", "5,-1"),
+])
+def test_bad_sweep_value_exits_2_before_any_cell_runs(tmp_path, capsys, monkeypatch, axis, values):
+    # Every cell's config is checked first: a bad last value must not
+    # cost the Monte Carlo runs of the cells before it.
+    def no_run(config):
+        raise AssertionError("monte_carlo called")
+
+    monkeypatch.setattr(experiment, "monte_carlo", no_run)
+    code = main(["sweep", "--n-sensors", "20", "--p0", "10", "--trials", "5",
+                 "--axis", axis, "--values", values, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {axis}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_empty_values_exits_2(tmp_path):

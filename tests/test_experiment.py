@@ -14,6 +14,7 @@ from orderfuse.experiment import (
     SWEEP_AXES,
     AntsSummary,
     ExperimentConfig,
+    SweepValueError,
     TrialRecord,
     _chunk_size,
     _RunState,
@@ -421,6 +422,8 @@ def test_sweep_rejects_bad_axis_and_empty_values():
         sweep(config, "tau", [1.0])
     with pytest.raises(ValueError):
         sweep(config, "p0", [])
+    with pytest.raises(SweepValueError, match="^n_sensors: sweep value 0: "):
+        sweep(config, "n_sensors", [20, 0])
 
 
 def test_sweep_over_n_sensors_tracks_half_n():

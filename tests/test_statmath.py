@@ -252,3 +252,78 @@ def test_integrate_depth_exhaustion_carries_best_estimate():
     # each of depths 1 to 40, the fixed limit.
     assert len(calls) == 165
     assert excinfo.value.best_estimate == pytest.approx(1.0 - step, abs=2e-13)
+
+
+# ── integrate: two components in one traversal ──────────────────────
+
+
+def _smooth(t):
+    return math.exp(-0.5 * t * t) * t
+
+
+def _kink(t):
+    return abs(t - 1.0 / 3.0)
+
+
+def _scalar_nodes(g, a, b):
+    nodes = []
+
+    def f(t):
+        nodes.append(t)
+        return g(t)
+
+    return integrate(f, a, b), nodes
+
+
+@pytest.mark.parametrize("first, second", [(_smooth, _kink), (_kink, _smooth)])
+def test_integrate_pair_matches_lone_passes_bit_for_bit(first, second):
+    lone_first, nodes_first = _scalar_nodes(first, 0.0, 3.0)
+    lone_second, nodes_second = _scalar_nodes(second, 0.0, 3.0)
+    # The kink refines a different tree than the smooth curve.
+    assert set(nodes_first) != set(nodes_second)
+    calls = []
+
+    def pair(t):
+        calls.append(t)
+        return first(t), second(t)
+
+    got = integrate(pair, 0.0, 3.0)
+    assert isinstance(got, tuple)
+    assert [v.hex() for v in got] == [lone_first.hex(), lone_second.hex()]
+    # One call per node of the union of the two scalar trees.
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(nodes_first) | set(nodes_second)
+    assert len(calls) < len(nodes_first) + len(nodes_second)
+
+
+def test_integrate_pair_names_a_non_finite_second_component_and_stops():
+    # As for a scalar: the first step on [0, 1] evaluates 0, 1, 0.5, then
+    # its children 0.25 and 0.75.
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return t, (math.inf if t == 0.75 else t)
+
+    with pytest.raises(ValueError, match=r"not finite at t=0\.75$"):
+        integrate(f, 0.0, 1.0)
+    assert calls == [0.0, 1.0, 0.5, 0.25, 0.75]
+
+
+@pytest.mark.parametrize("jumps", [(True, True), (False, True), (True, False)])
+def test_integrate_pair_depth_exhaustion_reports_first_exhausted_component(jumps):
+    def jump_at(step):
+        return lambda t: 1.0 if t > step else 0.0
+
+    parts = [jump_at(s) if j else _smooth for s, j in zip((0.3141592653589793, 0.7), jumps)]
+    reported = parts[jumps.index(True)]
+    with pytest.raises(QuadratureConvergenceError) as lone:
+        integrate(reported, 0.0, 1.0)
+    with pytest.raises(QuadratureConvergenceError) as paired:
+        integrate(lambda t: (parts[0](t), parts[1](t)), 0.0, 1.0)
+    assert str(paired.value) == str(lone.value)
+    assert paired.value.best_estimate.hex() == lone.value.best_estimate.hex()
+
+
+def test_integrate_pair_empty_interval():
+    assert integrate(lambda t: (t, t * t), 2.0, 2.0) == (0.0, 0.0)
