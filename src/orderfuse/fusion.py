@@ -181,6 +181,11 @@ def theory_curves(
     Only supports the target at the ROI center: the radial reduction of
     the mean per-sensor detection rate is derived for that geometry.
     The simulation path has no such restriction.
+
+    The two disc integrals, of p * r and p * Q(-x) * r with x = tau - a(r)
+    and p = Q(x), come from one :func:`integrate` call over [0, b/2]. Its
+    initial panels end at the attenuation length alpha**(-1/n_exp) and at
+    its doublings below b/2.
     """
     if roi.target_x != 0.0 or roi.target_y != 0.0:
         raise OffCenterTargetError(
@@ -197,21 +202,32 @@ def theory_curves(
 
     # One quadrature pass integrates p * r and p * (1 - p) * r, with
     # Q(x) = 0.5 * erfc(x / sqrt(2)) inlined with the arithmetic of
-    # q_function. The miss probability 1 - p is taken from its own tail:
-    # near p = 1, 1 - p by subtraction is rounding noise that no relative
-    # tolerance can resolve. Every node is finite without q_function's
-    # checks: r lies in [0, b/2] and the validated model bounds the
-    # amplitude.
+    # q_function. The miss probability 1 - p is taken from its own tail,
+    # Q(-x): near p = 1, 1 - p by subtraction is rounding noise that no
+    # relative tolerance can resolve. Every node is finite without
+    # q_function's checks: r lies in [0, b/2] and the validated model
+    # bounds the amplitude.
     def integrand(r: float) -> tuple[float, float]:
         x = tau - amp(r)
         p = 0.5 * erfc(x / _SQRT2)
         return p * r, p * (0.5 * erfc(-x / _SQRT2)) * r
 
+    # Past the attenuation length the amplitude falls as a power of r, and
+    # the detection rate drops where the amplitude passes tau, at a radius
+    # that p0 sets. Panels ending at the doublings of that length meet
+    # every such scale alike; a single panel misses a drop near r = 0 in a
+    # wide ROI.
+    cuts = []
+    cut = model.alpha ** (-1.0 / model.n_exp)
+    while cut < half:
+        cuts.append(cut)
+        cut *= 2.0
+
     # Off n_exp = 2, d**n_exp at a huge distance overflows to inf in
     # numpy's power, which warns; the amplitude 0 it gives is the limit.
     with np.errstate(over="ignore"):
         x_corner = tau - amp(math.sqrt(2.0) * half)
-        i_pd, i_var = integrate(integrand, 0.0, half)
+        i_pd, i_var = integrate(integrand, 0.0, half, cuts)
     # Detection rate at the worst corner, and its miss rate from its own
     # tail, as in the integrand.
     gamma = q_function(x_corner)

@@ -2,27 +2,61 @@
 
 Everything downstream (detector thresholds, operating-characteristic
 curves) rests on three primitives: the standard-normal upper tail Q(x),
-its inverse, and an adaptive Simpson integrator with a refinement-depth
-budget.
+its inverse, and a global adaptive Gauss-Kronrod integrator with a cap
+on its bisections.
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heapify, heappop, heappush
 from statistics import NormalDist
-from typing import Callable
+from typing import Callable, Iterable
 
 _SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = NormalDist()
 
-# Error budget of integrate, relative to the first whole-interval
-# estimate, and the refinement depth at which it gives up.
+# Error budget of integrate, relative to each component's current total,
+# and the number of panel bisections per component at which it gives up.
 _RELATIVE_TOLERANCE = 1e-10
-_MAX_DEPTH = 40
+_MAX_BISECTIONS = 1000
+
+# The 15-point Gauss-Kronrod rule on [-1, 1] and its embedded 7-point
+# Gauss rule, as in QUADPACK's QK15 (Piessens et al., 1983): the
+# positive Kronrod abscissae, outermost first, their weights and the
+# centre's, and the Gauss weights of abscissae 1, 3 and 5 and of the
+# centre.
+_XK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_WK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
+# All 15 nodes, left to right.
+_NODES = (*(-x for x in _XK), 0.0, *reversed(_XK))
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Refinement depth exhausted before the tolerance was met.
+    """Bisection cap reached before the tolerance was met.
 
     The best available estimate is kept on ``best_estimate`` so callers
     can still inspect or log it.
@@ -64,34 +98,130 @@ def _not_finite(t: float) -> ValueError:
     return ValueError(f"integrand is not finite at t={t!r}")
 
 
-def integrate(
-    f: Callable[[float], float | tuple[float, float]], a: float, b: float
-) -> float | tuple[float, float]:
-    """Adaptive Simpson quadrature of ``f`` over ``[a, b]``.
+def _rule(h: float, y: list[float]) -> tuple[float, float]:
+    """K15 estimate and error estimate |K15 - G7| on a panel of half-width ``h``.
 
-    Each subinterval is accepted when doubling its refinement changes the
-    Simpson estimate by no more than 15x its share of the error budget
-    (the factor 15 comes from the Richardson error model, and the
-    correction term ``delta / 15`` is folded into the result). The budget
-    is a relative tolerance of 1e-10 scaled by the first whole-interval
-    estimate, so the tolerance is relative to the integral's magnitude;
-    integrals that cancel to ~0 may exhaust the depth instead.
+    ``y`` holds the 15 node values, left to right.
+    """
+    s1 = y[1] + y[13]
+    s3 = y[3] + y[11]
+    s5 = y[5] + y[9]
+    mid = y[7]
+    gauss = _WG[0] * s1 + _WG[1] * s3 + _WG[2] * s5 + _WG[3] * mid
+    kronrod = (
+        _WK[0] * (y[0] + y[14])
+        + _WK[1] * s1
+        + _WK[2] * (y[2] + y[12])
+        + _WK[3] * s3
+        + _WK[4] * (y[4] + y[10])
+        + _WK[5] * s5
+        + _WK[6] * (y[6] + y[8])
+        + _WK[7] * mid
+    )
+    return h * kronrod, h * abs(kronrod - gauss)
+
+
+def _panel(
+    f: Callable[[float], tuple[float, float]],
+    lo: float,
+    hi: float,
+    us: list[float],
+    vs: list[float],
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The :func:`_rule` pair of each component of ``f`` on [lo, hi].
+
+    ``us`` and ``vs`` hold the checked values of the two components at
+    the leading nodes, if any are known already. ``f`` is called at the
+    other nodes, left to right, and each value is checked before the
+    next call.
+    """
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    isfinite = math.isfinite
+    for x in _NODES[len(us):]:
+        t = c + h * x
+        u, v = f(t)
+        if not (isfinite(u) and isfinite(v)):
+            raise _not_finite(t)
+        us.append(u)
+        vs.append(v)
+    return _rule(h, us), _rule(h, vs)
+
+
+def _refine(
+    panel: Callable[[float, float], tuple[tuple[float, float], tuple[float, float]]],
+    component: int,
+    edges: list[float],
+) -> float:
+    """One component's global adaptive refinement of the panels between ``edges``.
+
+    Bisects the panel with the largest error estimate until the summed
+    estimate is within the relative tolerance of the current total. The
+    result sums the panel estimates with ``math.fsum``.
+    """
+    heap = []
+    total = err = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        k, e = panel(lo, hi)[component]
+        heap.append((-e, lo, hi, k))
+        total += k
+        err += e
+    heapify(heap)
+    bisections = 0
+    while err > _RELATIVE_TOLERANCE * abs(total):
+        if bisections == _MAX_BISECTIONS:
+            best = math.fsum(k for *_, k in heap)
+            raise QuadratureConvergenceError(
+                f"quadrature did not converge within {_MAX_BISECTIONS} bisections "
+                f"(best estimate {best!r})",
+                best_estimate=best,
+            )
+        bisections += 1
+        neg_e, lo, hi, k = heappop(heap)
+        mid = 0.5 * (lo + hi)
+        k_left, e_left = panel(lo, mid)[component]
+        k_right, e_right = panel(mid, hi)[component]
+        heappush(heap, (-e_left, lo, mid, k_left))
+        heappush(heap, (-e_right, mid, hi, k_right))
+        total += k_left + k_right - k
+        err += e_left + e_right + neg_e
+    return math.fsum(k for *_, k in heap)
+
+
+def integrate(
+    f: Callable[[float], float | tuple[float, float]],
+    a: float,
+    b: float,
+    breakpoints: Iterable[float] = (),
+) -> float | tuple[float, float]:
+    """Global adaptive Gauss-Kronrod quadrature of ``f`` over ``[a, b]``.
+
+    The initial panels run between ``a``, the ``breakpoints`` (strictly
+    increasing, strictly inside ``(a, b)``) and ``b``. Each panel gets
+    the 15-point Kronrod estimate K15 and the error estimate
+    |K15 - G7| against its embedded 7-point Gauss rule. The panel with
+    the largest error estimate is bisected until the summed estimate is
+    within a relative tolerance of 1e-10 of the current total, in the
+    manner of QUADPACK's QAG. The nodes are interior, so ``f`` is never
+    called at a panel edge. Integrals that cancel to ~0 may reach the
+    bisection cap instead.
 
     ``f`` returns a float, or a tuple of two floats to integrate two
     functions over the same interval; the result then is a pair too.
-    Each component keeps its own refinement tree and its own budget (of
-    its own whole-interval estimate), while one right-first depth-first
-    traversal calls ``f`` once per node that either tree needs. So each
-    component gets the nodes, acceptance decisions and summation order,
+    Each component keeps its own panels and its own tolerance: the first
+    component's refinement runs to its end, then the second's, both
+    over one cache of panel values. So ``f`` is called once per node
+    that either component needs, and each component gets the panels,
     and hence the bits, that a lone pass over it would get. Every
-    component must be finite at every node ``f`` is called at. An empty
-    interval returns zero (``f`` is called once, at ``a``, to learn its
-    shape).
+    component must be finite at every node ``f`` is called at; the
+    error names the first node that is not, and ``f`` is not called
+    after it. An empty interval returns zero (``f`` is called once, at
+    ``a``, to learn its shape).
 
-    Raises :class:`QuadratureConvergenceError` when some subinterval
-    still fails its test at refinement depth 40; with a pair, the best
-    estimate is that of the first component, in order, that ran out of
-    depth.
+    Raises :class:`QuadratureConvergenceError`, with the best estimate
+    attached, when a component still misses the tolerance after 1000
+    bisections; with a pair, that is the first component, in order,
+    that does.
     """
     a = float(a)
     b = float(b)
@@ -99,100 +229,34 @@ def integrate(
         raise ValueError("integration bounds must be finite")
     if a > b:
         raise ValueError(f"requires a <= b, got a={a!r}, b={b!r}")
+    edges = [a, *map(float, breakpoints), b]
+    if len(edges) > 2 and not all(lo < hi for lo, hi in zip(edges, edges[1:])):
+        raise ValueError(f"breakpoints must increase strictly inside (a, b), got {edges[1:-1]!r}")
+    if a == b:
+        return (0.0, 0.0) if isinstance(f(a), tuple) else 0.0
 
-    fa = f(a)
-    pair = isinstance(fa, tuple)
+    # The first node's value, placed as _panel places it, tells a pair
+    # from a scalar. A scalar runs as the first component of a pair with
+    # a zero partner that is never refined.
+    first_node = 0.5 * (a + edges[1]) + 0.5 * (edges[1] - a) * _NODES[0]
+    first = f(first_node)
+    pair = isinstance(first, tuple)
     if not pair:
-        # A scalar runs through the pair loop with a zero partner, whose
-        # zero budget retires it at the first step.
         scalar = f
-        fa = (float(fa), 0.0)
+        first = (float(first), 0.0)
 
         def f(t: float) -> tuple[float, float]:
             return float(scalar(t)), 0.0
 
-    if a == b:
-        return (0.0, 0.0) if pair else 0.0
+    if not (math.isfinite(first[0]) and math.isfinite(first[1])):
+        raise _not_finite(first_node)
+    cache = {(a, edges[1]): _panel(f, a, edges[1], [first[0]], [first[1]])}
 
-    # f is called inline, node by node in a fixed order, and each value
-    # is checked before the next call: a function call per node costs
-    # about as much as a cheap integrand.
-    isfinite = math.isfinite
-    ua, va = fa
-    if not (isfinite(ua) and isfinite(va)):
-        raise _not_finite(a)
-    ub, vb = f(b)
-    if not (isfinite(ub) and isfinite(vb)):
-        raise _not_finite(b)
-    m = 0.5 * (a + b)
-    um, vm = f(m)
-    if not (isfinite(um) and isfinite(vm)):
-        raise _not_finite(m)
-    h = (b - a) / 6.0
-    whole_u = h * (ua + 4.0 * um + ub)
-    whole_v = h * (va + 4.0 * vm + vb)
+    def panel(lo: float, hi: float) -> tuple[tuple[float, float], tuple[float, float]]:
+        got = cache.get((lo, hi))
+        if got is None:
+            got = cache[lo, hi] = _panel(f, lo, hi, [], [])
+        return got
 
-    # Explicit stack instead of recursion: depth exhaustion in one
-    # subinterval must still yield a best estimate for the whole integral.
-    # A component's Simpson estimate is None on the subintervals its own
-    # tree does not refine.
-    stack = [(
-        a, ua, va, m, um, vm, b, ub, vb,
-        whole_u, _RELATIVE_TOLERANCE * abs(whole_u),
-        whole_v, _RELATIVE_TOLERANCE * abs(whole_v),
-        0,
-    )]
-    total_u = total_v = 0.0
-    exhausted_u = exhausted_v = False
-    while stack:
-        a0, ua0, va0, m0, um0, vm0, b0, ub0, vb0, su0, eu0, sv0, ev0, depth = stack.pop()
-        lm = 0.5 * (a0 + m0)
-        rm = 0.5 * (m0 + b0)
-        ulm, vlm = f(lm)
-        if not (isfinite(ulm) and isfinite(vlm)):
-            raise _not_finite(lm)
-        urm, vrm = f(rm)
-        if not (isfinite(urm) and isfinite(vrm)):
-            raise _not_finite(rm)
-        hl = (m0 - a0) / 6.0
-        hr = (b0 - m0) / 6.0
-        left_u = right_u = left_v = right_v = None
-        if su0 is not None:
-            left = hl * (ua0 + 4.0 * ulm + um0)
-            right = hr * (um0 + 4.0 * urm + ub0)
-            delta = left + right - su0
-            if abs(delta) <= 15.0 * eu0:
-                total_u += left + right + delta / 15.0
-            elif depth >= _MAX_DEPTH:
-                total_u += left + right + delta / 15.0
-                exhausted_u = True
-            else:
-                left_u, right_u = left, right
-        if sv0 is not None:
-            left = hl * (va0 + 4.0 * vlm + vm0)
-            right = hr * (vm0 + 4.0 * vrm + vb0)
-            delta = left + right - sv0
-            if abs(delta) <= 15.0 * ev0:
-                total_v += left + right + delta / 15.0
-            elif depth >= _MAX_DEPTH:
-                total_v += left + right + delta / 15.0
-                exhausted_v = True
-            else:
-                left_v, right_v = left, right
-        if left_u is not None or left_v is not None:
-            eu1 = 0.5 * eu0
-            ev1 = 0.5 * ev0
-            stack.append(
-                (a0, ua0, va0, lm, ulm, vlm, m0, um0, vm0, left_u, eu1, left_v, ev1, depth + 1)
-            )
-            stack.append(
-                (m0, um0, vm0, rm, urm, vrm, b0, ub0, vb0, right_u, eu1, right_v, ev1, depth + 1)
-            )
-    for exhausted, total in ((exhausted_u, total_u), (exhausted_v, total_v)):
-        if exhausted:
-            raise QuadratureConvergenceError(
-                f"quadrature did not converge within depth {_MAX_DEPTH} "
-                f"(best estimate {total!r})",
-                best_estimate=total,
-            )
-    return (total_u, total_v) if pair else total_u
+    totals = tuple(_refine(panel, c, edges) for c in range(1 + pair))
+    return totals if pair else totals[0]

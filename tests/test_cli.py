@@ -187,6 +187,15 @@ def test_theory_strong_signal_converges(capsys, args):
     assert 0.0 < float(table["sigma_bar_sq"]) <= 0.25
 
 
+@pytest.mark.parametrize("p0, pd_bar", [("100", "0.00868718426"), ("100000", "1")])
+def test_theory_tiny_local_pfa_converges(capsys, p0, pd_bar):
+    # At local_pfa 1e-16 the detection rate spans many orders of magnitude
+    # across the disc; a tolerance taken from a coarse first estimate of
+    # the integral, far below its value, once ran 25 s and then failed.
+    table = run_theory_table(["--n-sensors", "100", "--p0", p0, "--local-pfa", "1e-16"], capsys)
+    assert table["pd_bar"] == pd_bar
+
+
 def test_theory_csv_output(tmp_path, capsys):
     out = tmp_path / "theory.csv"
     assert main(["theory", "--n-sensors", "100", "--p0", "200", "--out", str(out)]) == 0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orderfuse import fusion
 from orderfuse.experiment import ExperimentConfig
 from orderfuse.field import Hypothesis, RoiConfig, SignalModel, signal_amplitude
 from orderfuse.fusion import (
@@ -304,8 +305,15 @@ def reference_curves(det, model, roi, n, t):
         x = x_at(r)
         return q_function(x) * q_function(-x) * r
 
-    i_pd = integrate(lambda r: q_function(x_at(r)) * r, 0.0, half)
-    i_var = integrate(var_integrand, 0.0, half)
+    # The initial panels of theory_curves: the attenuation length and its
+    # doublings below b/2.
+    cuts = []
+    cut = model.alpha ** (-1.0 / model.n_exp)
+    while cut < half:
+        cuts.append(cut)
+        cut *= 2.0
+    i_pd = integrate(lambda r: q_function(x_at(r)) * r, 0.0, half, cuts)
+    i_var = integrate(var_integrand, 0.0, half, cuts)
     pd_bar = disc_weight * i_pd + corner_weight * gamma
     sigma_bar_sq = disc_weight * i_var + corner_weight * gamma * q_function(-x_corner)
     system_pd = q_function((t - n * pd_bar) / math.sqrt(n * sigma_bar_sq))
@@ -327,3 +335,43 @@ def test_theory_curves_bitwise_equal_reference(p0, local_pfa, n_exp):
     expected = reference_curves(fus.detector, model, roi, n, fus.system_threshold_t)
     got = (curves.gamma, curves.pd_bar, curves.sigma_bar_sq, curves.system_pd)
     assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+def gauss_legendre_disc(integrand, half, panels=500, order=20):
+    """Both components of ``integrand`` over [0, half], composite Gauss-Legendre."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    h = 0.5 * half / panels
+    terms = ([], [])
+    for j in range(panels):
+        c = (2 * j + 1) * h
+        for xi, wi in zip(x.tolist(), w.tolist()):
+            for total, value in zip(terms, integrand(c + h * xi)):
+                total.append(wi * h * value)
+    return math.fsum(terms[0]), math.fsum(terms[1])
+
+
+@pytest.mark.parametrize(
+    "p0, local_pfa, n_exp, alpha",
+    [(100.0, 0.05, 2.5, 0.02), (20.0, 0.3, 2.5, 1.0), (1.028, 1e-3, 2.0, 0.02)],
+)
+def test_theory_disc_integrals_match_gauss_legendre(monkeypatch, p0, local_pfa, n_exp, alpha):
+    # Where adaptive Simpson missed its own 1e-10 tolerance (by up to
+    # 4.8e-8, and in the 9th printed digit of pd_bar at the last point),
+    # the two disc integrals must match a fine composite Gauss-Legendre
+    # rule over the same float integrand. That rule agrees with itself at
+    # twice the panels and order to about 1e-16.
+    seen = []
+    integrate_once = fusion.integrate
+
+    def spy(f, *args):
+        result = integrate_once(f, *args)
+        seen.append((f, result))
+        return result
+
+    monkeypatch.setattr(fusion, "integrate", spy)
+    fus = FusionConfig(100, local_pfa, 1e-3)
+    roi = RoiConfig(side_b=100.0)
+    theory_curves(fus.detector, SignalModel(p0=p0, alpha=alpha, n_exp=n_exp), roi, 100, fus.system_threshold_t)
+    [(integrand, got)] = seen
+    expected = gauss_legendre_disc(integrand, roi.half_side)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)

@@ -215,43 +215,109 @@ def test_integrate_rejects_reversed_bounds():
         integrate(lambda t: t, 1.0, 0.0)
 
 
+def test_integrate_starts_from_the_breakpoint_panels():
+    # A jump at a breakpoint lies on a panel edge, and each side is a
+    # polynomial that one panel integrates exactly: 2 panels of 15 nodes.
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0 if t > 0.3 else 0.0
+
+    assert integrate(f, 0.0, 1.0, [0.3]) == pytest.approx(0.7, rel=1e-15)
+    assert len(calls) == 30
+
+
+@pytest.mark.parametrize("cuts", [[0.5, 0.5], [0.6, 0.4], [0.0], [1.0], [1.5], [math.nan]])
+def test_integrate_rejects_breakpoints_outside_or_out_of_order(cuts):
+    with pytest.raises(ValueError, match="breakpoints"):
+        integrate(lambda t: t, 0.0, 1.0, cuts)
+
+
 def test_integrate_rejects_non_finite_integrand():
     with pytest.raises(ValueError):
         integrate(lambda t: math.inf, 0.0, 1.0)
 
 
 def test_integrate_names_the_first_non_finite_node_and_stops():
-    # The first step on [0, 1] evaluates its left child 0.25, then its
-    # right child 0.75. A NaN there must be reported at 0.75, and f must
-    # not be called again. At a starting node the same holds: 0, 1, 0.5.
-    for bad, expected_calls in ((0.75, [0.0, 1.0, 0.5, 0.25, 0.75]), (1.0, [0.0, 1.0])):
+    # One panel on [0, 1] evaluates its 15 Kronrod nodes left to right. A
+    # NaN at the fifth must be reported there, and f must not be called
+    # again. At the first node, where integrate learns f's shape, the same
+    # holds.
+    nodes = [0.5 - 0.5 * x for x in KRONROD_X] + [0.5 + 0.5 * x for x in KRONROD_X[-2::-1]]
+    for bad_call in (5, 1):
         calls = []
 
         def f(t):
             calls.append(t)
-            return math.nan if t == bad else t
+            return math.nan if len(calls) == bad_call else t
 
-        with pytest.raises(ValueError, match=f"not finite at t={bad!r}$"):
+        with pytest.raises(ValueError) as excinfo:
             integrate(f, 0.0, 1.0)
-        assert calls == expected_calls
+        assert str(excinfo.value).endswith(f"not finite at t={calls[-1]!r}")
+        assert calls == pytest.approx(nodes[:bad_call], abs=1e-14)
+
+
+def _rough(t):
+    # A line plus a square wave of 2^20 cells and amplitude 1e-6: no panel
+    # wider than a cell resolves the wave, so the error estimates stay
+    # near 1e-7 in sum while the tolerance is 5e-11.
+    return t + 1e-6 * (1.0 if int(t * 2**20) % 2 else -1.0)
 
 
 def test_integrate_depth_exhaustion_carries_best_estimate():
-    # No Simpson refinement resolves a jump, so the subinterval holding it
-    # fails its test down to the depth limit.
-    step = 0.3141592653589793
     calls = []
 
     def f(t):
         calls.append(t)
-        return 1.0 if t > step else 0.0
+        return _rough(t)
 
-    with pytest.raises(QuadratureConvergenceError) as excinfo:
+    with pytest.raises(QuadratureConvergenceError, match="within 1000 bisections") as excinfo:
         integrate(f, 0.0, 1.0)
-    # 3 starting nodes, then 2 per subinterval: 1 at depth 0 and 2 at
-    # each of depths 1 to 40, the fixed limit.
-    assert len(calls) == 165
-    assert excinfo.value.best_estimate == pytest.approx(1.0 - step, abs=2e-13)
+    # 15 nodes on the first panel, then 15 on each of the two halves of
+    # every bisection, up to the cap of 1000.
+    assert len(calls) == 15 * (1 + 2 * 1000)
+    # Kronrod weights are positive, so the wave moves any estimate by at
+    # most 1e-6, and the line is integrated exactly.
+    assert excinfo.value.best_estimate == pytest.approx(0.5, abs=1e-6)
+
+
+# The positive Kronrod abscissae on [-1, 1], outermost first, then the
+# centre; the weights of the 15-point Kronrod rule at them and of the
+# 7-point Gauss rule inside it, from Piessens et al., "QUADPACK" (1983),
+# to 15 digits. The tables in statmath must match them.
+KRONROD_X = (0.991455371120813, 0.949107912342759, 0.864864423359769,
+             0.741531185599394, 0.586087235467691, 0.405845151377397,
+             0.207784955007898, 0.0)
+KRONROD_W = (0.022935322010529, 0.063092092629979, 0.104790010322250,
+             0.140653259715525, 0.169004726639268, 0.190350578064785,
+             0.204432940075299, 0.209482141084728)
+GAUSS_W = (0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469)
+
+
+def test_kronrod_tables_match_quadpack():
+    assert statmath._XK == pytest.approx(KRONROD_X[:-1], abs=1e-15)
+    assert statmath._NODES == tuple(-x for x in statmath._XK) + (0.0,) + statmath._XK[::-1]
+    assert statmath._WK == pytest.approx(KRONROD_W, abs=1e-15)
+    assert statmath._WG == pytest.approx(GAUSS_W, abs=1e-15)
+
+
+@pytest.mark.parametrize("k", range(25))
+def test_kronrod_panel_degree(k):
+    # On one panel, K15 integrates t^k exactly for k <= 22 (23 by the
+    # symmetry of odd powers) and G7 for k <= 13; the even power just past
+    # each degree shows it is sharp.
+    kronrod, error = statmath._rule(1.0, [t**k for t in statmath._NODES])
+    exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+    if k <= 23:
+        assert kronrod == pytest.approx(exact, abs=1e-15)
+    else:
+        assert abs(kronrod - exact) > 1e-9
+    # error = |K15 - G7|, so it vanishes exactly where both rules are exact.
+    if k <= 13:
+        assert error <= 1e-15
+    elif k == 14:
+        assert error > 1e-4
 
 
 # ── integrate: two components in one traversal ──────────────────────
@@ -297,25 +363,29 @@ def test_integrate_pair_matches_lone_passes_bit_for_bit(first, second):
 
 
 def test_integrate_pair_names_a_non_finite_second_component_and_stops():
-    # As for a scalar: the first step on [0, 1] evaluates 0, 1, 0.5, then
-    # its children 0.25 and 0.75.
+    # As for a scalar: one panel on [0, 1] evaluates its nodes left to
+    # right, and an inf in the second component at the fifth stops it.
     calls = []
 
     def f(t):
         calls.append(t)
-        return t, (math.inf if t == 0.75 else t)
+        return t, (math.inf if len(calls) == 5 else t)
 
-    with pytest.raises(ValueError, match=r"not finite at t=0\.75$"):
+    with pytest.raises(ValueError) as excinfo:
         integrate(f, 0.0, 1.0)
-    assert calls == [0.0, 1.0, 0.5, 0.25, 0.75]
+    assert str(excinfo.value).endswith(f"not finite at t={calls[-1]!r}")
+    nodes = [0.5 - 0.5 * x for x in KRONROD_X[:5]]
+    assert calls == pytest.approx(nodes, abs=1e-14)
 
 
 @pytest.mark.parametrize("jumps", [(True, True), (False, True), (True, False)])
 def test_integrate_pair_depth_exhaustion_reports_first_exhausted_component(jumps):
-    def jump_at(step):
-        return lambda t: 1.0 if t > step else 0.0
+    # A square wave of 2^20 or 3^13 cells, one jump per cell: no panel
+    # wider than a cell resolves it, so its component reaches the cap.
+    def jumps_per_unit(cells):
+        return lambda t: 1.0 if int(t * cells) % 2 else 0.0
 
-    parts = [jump_at(s) if j else _smooth for s, j in zip((0.3141592653589793, 0.7), jumps)]
+    parts = [jumps_per_unit(c) if j else _smooth for c, j in zip((2**20, 3**13), jumps)]
     reported = parts[jumps.index(True)]
     with pytest.raises(QuadratureConvergenceError) as lone:
         integrate(reported, 0.0, 1.0)
