@@ -34,7 +34,6 @@ from .field import (
     signal_amplitude,
 )
 from .fusion import (
-    FusionConfig,
     LocalDetector,
     OffCenterTargetError,
     TheoryCurves,
@@ -66,7 +65,6 @@ __all__ = [
     "AntsSummary",
     "Crossing",
     "ExperimentConfig",
-    "FusionConfig",
     "Hypothesis",
     "LocalDetector",
     "OffCenterTargetError",

@@ -175,9 +175,9 @@ def _write_manifest(
 
 
 def _theory_rows(config: ExperimentConfig) -> list[tuple[str, str]]:
-    n, model, roi, fus = config.n_sensors, config.model, config.roi, config.fusion
-    t = fus.system_threshold_t
-    curves = theory_curves(fus.detector, model, roi, n, t)
+    n, model, roi = config.n_sensors, config.model, config.roi
+    t = config.system_threshold_t
+    curves = theory_curves(config.detector, model, roi, n, t)
     bounds = ants_bounds(n, t, config.likelihood_r)
     return [
         ("n_sensors", _fmt(n)),
@@ -185,15 +185,15 @@ def _theory_rows(config: ExperimentConfig) -> list[tuple[str, str]]:
         ("alpha", _fmt(model.alpha)),
         ("n_exp", _fmt(model.n_exp)),
         ("roi_b", _fmt(roi.side_b)),
-        ("local_pfa", _fmt(fus.local_pfa)),
-        ("system_pfa", _fmt(fus.system_pfa)),
+        ("local_pfa", _fmt(config.local_pfa)),
+        ("system_pfa", _fmt(config.system_pfa)),
         ("likelihood_r", _fmt(config.likelihood_r)),
-        ("tau", _fmt(fus.detector.tau)),
+        ("tau", _fmt(config.detector.tau)),
         ("system_threshold_t", _fmt(t)),
         ("gamma", _fmt(curves.gamma)),
         ("pd_bar", _fmt(curves.pd_bar)),
         ("sigma_bar_sq", _fmt(curves.sigma_bar_sq)),
-        ("theory_pfa", _fmt(system_pfa_approx(n, fus.local_pfa, t))),
+        ("theory_pfa", _fmt(system_pfa_approx(n, config.local_pfa, t))),
         ("theory_pd", _fmt(curves.system_pd)),
         ("ants_upper_case_bound", _fmt(bounds.upper_case_bound)),
         ("ants_lower_case_bound", _fmt(bounds.lower_case_bound)),
@@ -226,19 +226,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_axis_values(axis: str, raw: str) -> list:
+def _split_axis_values(raw: str) -> list[str]:
+    """The comma-separated sweep values; :func:`sweep` types and checks each."""
     items = [piece.strip() for piece in raw.split(",") if piece.strip()]
     if not items:
         raise ConfigError("values: expected a nonempty comma-separated list")
-    try:
-        return [SWEEP_AXES[axis](piece) for piece in items]
-    except ValueError as exc:
-        raise ConfigError(f"values: could not parse {raw!r} for axis {axis!r}") from exc
+    return items
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
-    values = _parse_axis_values(args.axis, args.values)
+    values = _split_axis_values(args.values)
     base = _experiment_config(settings)
     cells = sweep(base, args.axis, values)
     out = Path(args.out)

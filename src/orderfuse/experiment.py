@@ -11,12 +11,13 @@ integers), which makes the reduction order-independent by construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .field import Hypothesis, RoiConfig, SignalModel, signal_amplitude
-from .fusion import FusionConfig, local_decisions
+from .fusion import LocalDetector, local_decisions, system_threshold, threshold_from_local_pfa
 from .ordering import StopBatch, StoppedRun, ordered_bits, run_ordered_counting, stop_batch
 
 # No caller here, but these names stay bound: the benchmark's tracer
@@ -35,12 +36,21 @@ _U64 = 1 << 64
 _SEED_STRIDE = 0x9E3779B97F4A7C15
 
 
+def _check_int(name: str, value) -> None:
+    """Reject a non-integer run field; numpy integers pass, ``bool`` does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full parameter set for one Monte Carlo run.
 
-    ``fusion``, the local threshold tau and the count threshold T, is
-    derived from (n_sensors, local_pfa, system_pfa), which it checks.
+    The fusion center is derived from the rates, which it checks: the
+    local ``detector`` (its threshold tau) from ``local_pfa``, and the
+    count threshold ``system_threshold_t`` (T) from (n_sensors,
+    local_pfa, system_pfa). Neither can be passed in, and
+    ``dataclasses.replace`` derives both again.
     """
 
     n_sensors: int
@@ -51,17 +61,22 @@ class ExperimentConfig:
     likelihood_r: float
     n_trials: int
     master_seed: int
-    fusion: FusionConfig = field(init=False)
+    detector: LocalDetector = field(init=False)
+    system_threshold_t: float = field(init=False)
 
     def __post_init__(self) -> None:
+        _check_int("n_sensors", self.n_sensors)
         if self.n_sensors < 1:
             raise ValueError(f"n_sensors must be positive, got {self.n_sensors!r}")
+        _check_int("n_trials", self.n_trials)
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be positive, got {self.n_trials!r}")
-        fusion = FusionConfig(self.n_sensors, self.local_pfa, self.system_pfa)
-        object.__setattr__(self, "fusion", fusion)
+        object.__setattr__(self, "detector", threshold_from_local_pfa(self.local_pfa))
+        t = system_threshold(self.n_sensors, self.local_pfa, self.system_pfa)
+        object.__setattr__(self, "system_threshold_t", t)
         if not 0.0 <= self.likelihood_r <= 1.0:
             raise ValueError(f"likelihood_r must be in [0, 1], got {self.likelihood_r!r}")
+        _check_int("master_seed", self.master_seed)
         if not 0 <= self.master_seed < _U64:
             raise ValueError(f"master_seed must be a 64-bit unsigned int, got {self.master_seed!r}")
 
@@ -235,7 +250,7 @@ def _run_chunk(
     m = stop - start
     h1, z = _draw_chunk(config, run, start, stop)
 
-    det, t = config.fusion.detector, config.fusion.system_threshold_t
+    det, t = config.detector, config.system_threshold_t
     bits = local_decisions(z, det, out=run.bits[:m])
     ordered = ordered_bits(z, det.tau, bits, out=run.ordered[:m])
     stops = stop_batch(ordered, t, out=run.counts[:m])
@@ -261,6 +276,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     trials keep the positions' place in the stream, so noise offsets are
     identical across hypotheses.
     """
+    _check_int("trial_index", trial_index)
     if not 0 <= trial_index < config.n_trials:
         raise ValueError(f"trial_index {trial_index!r} outside [0, {config.n_trials})")
     n = config.n_sensors

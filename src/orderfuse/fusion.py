@@ -51,26 +51,6 @@ class LocalDetector:
 
 
 @dataclass(frozen=True)
-class FusionConfig:
-    """Fusion center for ``n_sensors`` one-bit inputs, built from its two rates.
-
-    The local detector and the count threshold T are derived, so the
-    three always agree.
-    """
-
-    n_sensors: int
-    local_pfa: float
-    system_pfa: float
-    detector: LocalDetector = field(init=False)
-    system_threshold_t: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "detector", threshold_from_local_pfa(self.local_pfa))
-        t = system_threshold(self.n_sensors, self.local_pfa, self.system_pfa)
-        object.__setattr__(self, "system_threshold_t", t)
-
-
-@dataclass(frozen=True)
 class TheoryCurves:
     """Closed-form operating characteristics of the counting rule."""
 
@@ -145,8 +125,8 @@ def system_threshold(n: int, local_pfa: float, system_pfa: float) -> float:
     else:
         return t
     # Point the warning at the first caller outside this package, not at
-    # FusionConfig, an ExperimentConfig (or dataclasses.replace of one) or
-    # the CLI that built the threshold on its behalf.
+    # an ExperimentConfig (or dataclasses.replace of one) or the CLI that
+    # built the threshold on its behalf.
     frame, level = sys._getframe(1), 2
     while frame is not None and (
         frame.f_globals.get("__package__") == __package__

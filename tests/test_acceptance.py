@@ -15,11 +15,11 @@ from orderfuse.cli import main
 from orderfuse.experiment import ExperimentConfig, monte_carlo, sweep
 from orderfuse.field import Hypothesis, RoiConfig, SignalModel, oracle_amplitudes
 from orderfuse.fusion import (
-    FusionConfig,
     counting_rule,
     system_pfa_approx,
     system_threshold,
     theory_curves,
+    threshold_from_local_pfa,
 )
 from orderfuse.ordering import lr_schedule_and_run, run_ordered_counting
 
@@ -168,8 +168,8 @@ def test_criterion_6_gaussian_approximation_quality():
 
 def test_criterion_7_theory_pd_vs_empirical():
     model = SignalModel(p0=200.0, alpha=0.02, n_exp=2.0)
-    fus = FusionConfig(100, 1e-3, 1e-3)
-    curves = theory_curves(fus.detector, model, ROI, 100, fus.system_threshold_t)
+    det = threshold_from_local_pfa(1e-3)
+    curves = theory_curves(det, model, ROI, 100, system_threshold(100, 1e-3, 1e-3))
     summary = monte_carlo(_config(model=model, likelihood_r=1.0, master_seed=707))
     gap = abs(curves.system_pd - summary.empirical_pd)
     _report(
@@ -184,8 +184,8 @@ def test_criterion_8_quadrature_vs_monte_carlo():
     # 1e7-sample Monte Carlo of the same disc-plus-corner expression the
     # adaptive quadrature evaluates.
     model = SignalModel(p0=200.0, alpha=0.02, n_exp=2.0)
-    fus = FusionConfig(100, 1e-3, 1e-3)
-    curves = theory_curves(fus.detector, model, ROI, 100, fus.system_threshold_t)
+    det = threshold_from_local_pfa(1e-3)
+    curves = theory_curves(det, model, ROI, 100, system_threshold(100, 1e-3, 1e-3))
 
     erfc_vec = np.frompyfunc(math.erfc, 1, 1)
     rng = np.random.default_rng(808)
@@ -195,7 +195,7 @@ def test_criterion_8_quadrature_vs_monte_carlo():
     chunk = 1_000_000
     for _ in range(m // chunk):
         radii = ROI.half_side * np.sqrt(rng.random(chunk))
-        args = (fus.detector.tau - np.sqrt(200.0 / (1.0 + 0.02 * radii**2))) / math.sqrt(2.0)
+        args = (det.tau - np.sqrt(200.0 / (1.0 + 0.02 * radii**2))) / math.sqrt(2.0)
         hits = 0.5 * erfc_vec(args).astype(float)
         total += float(hits.sum())
         total_sq += float((hits * hits).sum())

@@ -375,10 +375,12 @@ def test_unknown_axis_exits_2(tmp_path):
 
 @pytest.mark.parametrize("axis, values", [
     ("n_sensors", "20,0"), ("local_pfa", "0.01,1.5"), ("p0", "5,-1"),
+    ("n_sensors", "10,x"), ("n_sensors", "10,2.5"),
 ])
 def test_bad_sweep_value_exits_2_before_any_cell_runs(tmp_path, capsys, monkeypatch, axis, values):
     # Every cell's config is checked first: a bad last value must not
-    # cost the Monte Carlo runs of the cells before it.
+    # cost the Monte Carlo runs of the cells before it. A value that does
+    # not parse as the axis type is reported the same way.
     def no_run(config):
         raise AssertionError("monte_carlo called")
 
@@ -386,7 +388,9 @@ def test_bad_sweep_value_exits_2_before_any_cell_runs(tmp_path, capsys, monkeypa
     code = main(["sweep", "--n-sensors", "20", "--p0", "10", "--trials", "5",
                  "--axis", axis, "--values", values, "--out", str(tmp_path / "x.csv")])
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"error: {axis}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {axis}: ")
+    assert f"sweep value {values.rsplit(',', 1)[1]!r}: " in err
     assert list(tmp_path.iterdir()) == []
 
 

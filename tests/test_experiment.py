@@ -25,7 +25,7 @@ from orderfuse.experiment import (
     trial_rng,
 )
 from orderfuse.field import Hypothesis, RoiConfig, SignalModel, generate_observations, sample_field
-from orderfuse.fusion import FusionConfig, counting_rule, local_decisions
+from orderfuse.fusion import counting_rule, local_decisions, system_threshold, threshold_from_local_pfa
 from orderfuse.ordering import Crossing, run_ordered_counting, schedule
 
 from test_fusion import binomial_tail_gt
@@ -60,6 +60,20 @@ def test_config_validation():
         make_config(master_seed=-1)
     with pytest.raises(ValueError):
         make_config(master_seed=1 << 64)
+    # Integer fields are checked as integers, so 1.5 cannot run seed 1 or
+    # reach numpy as an array shape; bool is rejected too.
+    for name, bad in (
+        ("n_sensors", 20.5),
+        ("n_trials", 50.5),
+        ("master_seed", 1.5),
+        ("master_seed", 1.9),
+        ("n_sensors", True),
+        ("master_seed", False),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+            make_config(**{name: bad})
+    config = make_config(n_sensors=np.int64(20), n_trials=np.int32(5), master_seed=np.uint64(7))
+    assert monte_carlo(config) == monte_carlo(make_config(n_sensors=20, n_trials=5, master_seed=7))
 
 
 @pytest.mark.parametrize(
@@ -86,9 +100,10 @@ def test_config_rate_messages(overrides, message):
 
 def test_config_derives_fusion():
     config = make_config(n_sensors=40, local_pfa=0.05, system_pfa=0.01)
-    assert config.fusion == FusionConfig(40, 0.05, 0.01)
+    assert config.detector == threshold_from_local_pfa(0.05)
+    assert config.system_threshold_t == system_threshold(40, 0.05, 0.01)
     with pytest.raises(TypeError):
-        make_config(fusion=FusionConfig(40, 0.05, 0.01))
+        make_config(fusion=(config.detector, config.system_threshold_t))
 
 
 # ── per-trial substreams ────────────────────────────────────────────
@@ -193,6 +208,9 @@ def test_run_trial_bounds():
     config = make_config(n_trials=10)
     with pytest.raises(ValueError):
         run_trial(config, 10)
+    with pytest.raises(ValueError, match=r"^trial_index must be an integer, got 1\.5$"):
+        run_trial(config, 1.5)
+    assert run_trial(config, np.int64(3)) == run_trial(config, 3)
 
 
 def test_trial_equivalence_audit_holds():
@@ -201,7 +219,7 @@ def test_trial_equivalence_audit_holds():
     for i in range(200):
         rec = run_trial(config, i)
         _, _, bits = reference_draws(config, i)
-        assert rec.stopped.decision is counting_rule(bits, config.fusion.system_threshold_t)
+        assert rec.stopped.decision is counting_rule(bits, config.system_threshold_t)
         assert rec.transmissions_saved == config.n_sensors - rec.stopped.k_transmitted
 
 
@@ -239,8 +257,6 @@ def test_no_h1_trials_yields_nan_pd():
 def test_empirical_pfa_matches_exact_binomial():
     # With no target, each trial's count is Bin(n, local_pfa); the false
     # alarm frequency must track the exact tail beyond the threshold.
-    from orderfuse.fusion import system_threshold
-
     n, local_pfa, system_pfa = 100, 0.05, 0.1
     t = system_threshold(n, local_pfa, system_pfa)
     exact = binomial_tail_gt(n, local_pfa, t)
@@ -278,14 +294,14 @@ def reference_draws(config: ExperimentConfig, trial_index: int):
     hyp = Hypothesis.H1 if rng.random() < config.likelihood_r else Hypothesis.H0
     positions = sample_field(config.n_sensors, config.roi, rng)
     z = generate_observations(positions, config.roi, config.model, hyp, rng)
-    return hyp, z, local_decisions(z, config.fusion.detector)
+    return hyp, z, local_decisions(z, config.detector)
 
 
 def reference_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     """One trial through the per-trial object pipeline, from its own stream."""
-    t = config.fusion.system_threshold_t
+    t = config.system_threshold_t
     hyp, z, bits = reference_draws(config, trial_index)
-    stopped = run_ordered_counting(bits[schedule(z, config.fusion.detector)], t)
+    stopped = run_ordered_counting(bits[schedule(z, config.detector)], t)
     assert stopped.decision is counting_rule(bits, t)
     return TrialRecord(
         trial_index=trial_index,
@@ -377,7 +393,7 @@ def test_scalar_replay_covers_every_multiple_of_the_old_chunk(n_sensors, monkeyp
     expected = []
     for i in range(0, config.n_trials, stride):
         _, z, bits = reference_draws(config, i)
-        expected.append(bits[schedule(z, config.fusion.detector)])
+        expected.append(bits[schedule(z, config.detector)])
     assert len(replayed) == len(expected) == -(-config.n_trials // stride)
     for got, want in zip(replayed, expected):
         assert np.array_equal(got, want)
@@ -450,7 +466,8 @@ def test_sweep_cells_rederive_fusion(axis, values):
     cells = sweep(make_config(n_trials=5), axis, values)
     for cell, value in zip(cells, values, strict=True):
         cfg = cell.config
-        assert cfg.fusion == FusionConfig(cfg.n_sensors, cfg.local_pfa, cfg.system_pfa)
+        assert cfg.detector == threshold_from_local_pfa(cfg.local_pfa)
+        assert cfg.system_threshold_t == system_threshold(cfg.n_sensors, cfg.local_pfa, cfg.system_pfa)
         got = cfg.model.p0 if axis == "p0" else getattr(cfg, axis)
         assert type(got) is SWEEP_AXES[axis] and got == value
 
@@ -473,7 +490,6 @@ def test_savings_clear_lower_bound_in_strong_signal_regime():
     # The best-case savings are reached only when the signal is strong
     # enough that detection is near-certain and every H1 run's ones
     # arrive first; assert the mean sits within 3 stderr of it there.
-    from orderfuse.fusion import system_threshold
     from orderfuse.ordering import ants_bounds
 
     config = make_config(n_trials=4_000)

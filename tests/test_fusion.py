@@ -13,7 +13,6 @@ from orderfuse import fusion
 from orderfuse.experiment import ExperimentConfig
 from orderfuse.field import Hypothesis, RoiConfig, SignalModel, signal_amplitude
 from orderfuse.fusion import (
-    FusionConfig,
     LocalDetector,
     OffCenterTargetError,
     counting_rule,
@@ -136,12 +135,11 @@ def _experiment_config(system_pfa: float) -> ExperimentConfig:
     "build",
     [
         lambda: system_threshold(10, 1e-6, 0.9),
-        lambda: FusionConfig(10, 1e-6, 0.9),
         lambda: _experiment_config(0.9),
         # A sweep cell is built by dataclasses.replace, outside the package.
         lambda: replace(_experiment_config(1e-3), system_pfa=0.9),
     ],
-    ids=["system_threshold", "FusionConfig", "ExperimentConfig", "replace"],
+    ids=["system_threshold", "ExperimentConfig", "replace"],
 )
 def test_degenerate_threshold_warning_names_the_caller(build):
     with warnings.catch_warnings(record=True) as rec:
@@ -167,27 +165,32 @@ def test_system_pfa_gaussian_vs_exact_binomial():
     assert abs(approx - exact) <= 0.01
 
 
-# ── FusionConfig ────────────────────────────────────────────────────
+# ── thresholds derived by ExperimentConfig ──────────────────────────
+
+
+def _config_from_rates(n_sensors: int, local_pfa: float, system_pfa: float) -> ExperimentConfig:
+    return ExperimentConfig(n_sensors, RoiConfig(100.0), SignalModel(1.0, 0.02), local_pfa, system_pfa, 0.5, 1, 0)
 
 
 def test_fusion_config_from_rates():
-    fus = FusionConfig(100, 1e-3, 1e-3)
-    assert fus.system_threshold_t == system_threshold(100, 1e-3, 1e-3)
-    assert fus.system_threshold_t == pytest.approx(1.07673, abs=1e-4)
-    assert fus.detector == threshold_from_local_pfa(1e-3)
-    assert fus.detector.local_pfa == 1e-3
+    config = _config_from_rates(100, 1e-3, 1e-3)
+    assert config.system_threshold_t == system_threshold(100, 1e-3, 1e-3)
+    assert config.system_threshold_t == pytest.approx(1.07673, abs=1e-4)
+    assert config.detector == threshold_from_local_pfa(1e-3)
+    assert config.detector.local_pfa == 1e-3
     for bad in ((0, 1e-3, 1e-3), (100, 0.0, 1e-3), (100, 1e-3, 1.0)):
         with pytest.raises(ValueError):
-            FusionConfig(*bad)
+            _config_from_rates(*bad)
 
 
 def test_fusion_config_rejects_inconsistent_threshold():
     # The detector and T are derived from the rates; neither can be passed in.
     det = threshold_from_local_pfa(1e-3)
+    base = dict(roi=RoiConfig(100.0), model=SignalModel(1.0, 0.02), likelihood_r=0.5, n_trials=1, master_seed=0)
     with pytest.raises(TypeError):
-        FusionConfig(n_sensors=100, local_pfa=1e-3, system_pfa=1e-3, system_threshold_t=2.0)
+        ExperimentConfig(n_sensors=100, local_pfa=1e-3, system_pfa=1e-3, system_threshold_t=2.0, **base)
     with pytest.raises(TypeError):
-        FusionConfig(n_sensors=100, local_pfa=1e-3, system_pfa=1e-3, detector=det)
+        ExperimentConfig(n_sensors=100, local_pfa=1e-3, system_pfa=1e-3, detector=det, **base)
 
 
 # ── theory_curves ───────────────────────────────────────────────────
@@ -328,11 +331,11 @@ def test_theory_curves_bitwise_equal_reference(p0, local_pfa, n_exp):
     # must give the bits of the plain composition. Both sides call the same
     # numpy power loop, so this holds whichever CPU dispatch numpy picks.
     n = 100
-    fus = FusionConfig(n, local_pfa, 1e-3)
+    det, t = threshold_from_local_pfa(local_pfa), system_threshold(n, local_pfa, 1e-3)
     model = SignalModel(p0=p0, alpha=0.02, n_exp=n_exp)
     roi = RoiConfig(side_b=100.0)
-    curves = theory_curves(fus.detector, model, roi, n, fus.system_threshold_t)
-    expected = reference_curves(fus.detector, model, roi, n, fus.system_threshold_t)
+    curves = theory_curves(det, model, roi, n, t)
+    expected = reference_curves(det, model, roi, n, t)
     got = (curves.gamma, curves.pd_bar, curves.sigma_bar_sq, curves.system_pd)
     assert [v.hex() for v in got] == [v.hex() for v in expected]
 
@@ -369,9 +372,9 @@ def test_theory_disc_integrals_match_gauss_legendre(monkeypatch, p0, local_pfa, 
         return result
 
     monkeypatch.setattr(fusion, "integrate", spy)
-    fus = FusionConfig(100, local_pfa, 1e-3)
+    det, t = threshold_from_local_pfa(local_pfa), system_threshold(100, local_pfa, 1e-3)
     roi = RoiConfig(side_b=100.0)
-    theory_curves(fus.detector, SignalModel(p0=p0, alpha=alpha, n_exp=n_exp), roi, 100, fus.system_threshold_t)
+    theory_curves(det, SignalModel(p0=p0, alpha=alpha, n_exp=n_exp), roi, 100, t)
     [(integrand, got)] = seen
     expected = gauss_legendre_disc(integrand, roi.half_side)
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
